@@ -7,8 +7,8 @@ pass/fail report), figure (SVG + CSV of the spectral picture).
 Exit codes: 0 success, 1 validation failure, 2 usage or domain error. Output
 is deterministic: no timestamps, metadata in '#'-prefixed lines, numbers with
 17 significant digits in CSV and exact round-trip floats in JSON. The
-DEFECTWALK_TOL environment variable overrides the default complex-equality
-tolerance; --tol (where accepted) takes precedence over it.
+DEFECTWALK_TOL environment variable overrides the default membership
+tolerances; --tol (where accepted) takes precedence over it.
 """
 
 from __future__ import annotations

@@ -7,17 +7,36 @@ propagates consistently.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, replace
 
 ENV_TOL = "DEFECTWALK_TOL"
 
 
+def check_omega(omega: float, *, exclude_one: bool = False) -> float:
+    """The defect strength as a float, rejected unless finite and nonzero.
+
+    ``exclude_one`` also rejects omega = 1, the homogeneous walk, which has no
+    point spectrum; every function that needs the four eigenvalues sets it.
+    """
+    omega = float(omega)
+    if not math.isfinite(omega):
+        raise ValueError(f"omega must be finite, got {omega!r}")
+    if omega == 0.0:
+        raise ValueError("omega must be a nonzero real (the defect coin is omega times the bulk coin)")
+    if exclude_one and omega == 1.0:
+        raise ValueError(
+            "omega = 1 is the homogeneous walk: the closed-form point spectrum "
+            "requires a nonzero real omega with omega != 1"
+        )
+    return omega
+
+
 @dataclass(frozen=True)
 class Tolerances:
     """Tolerance bundle.
 
-    complex_eq : absolute tolerance for equality of complex scalars.
     circle     : tolerance on ``| |lambda| - 1 |`` for unit-circle membership.
     angle      : tolerance in radians on ``arg(lambda)`` for arc membership.
     eig_match  : max distance between a user-supplied eigenvalue and the
@@ -25,23 +44,17 @@ class Tolerances:
     newton     : residual threshold ``|D(root)|`` declaring Newton convergence.
     """
 
-    complex_eq: float = 1e-12
     circle: float = 1e-9
     angle: float = 1e-9
     eig_match: float = 1e-6
     newton: float = 1e-11
 
-    def with_complex_eq(self, value: float) -> "Tolerances":
-        if not value > 0:
-            raise ValueError(f"tolerance must be positive, got {value!r}")
-        return replace(self, complex_eq=value)
-
     def with_equality_tol(self, value: float) -> "Tolerances":
-        """Override the membership/equality knobs (complex_eq, circle, angle)
-        together; the algorithmic knobs (eig_match, newton) stay put."""
+        """Override the membership knobs (circle, angle) together; the
+        algorithmic knobs (eig_match, newton) stay put."""
         if not value > 0:
             raise ValueError(f"tolerance must be positive, got {value!r}")
-        return replace(self, complex_eq=value, circle=value, angle=value)
+        return replace(self, circle=value, angle=value)
 
     @classmethod
     def from_env(cls) -> "Tolerances":

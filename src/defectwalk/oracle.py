@@ -20,8 +20,8 @@ import mpmath as mp
 import numpy as np
 
 from . import spectrum, walk
-from .config import DEFAULT_TOLERANCES, Tolerances
-from .spectrum import Region
+from .config import DEFAULT_TOLERANCES, Tolerances, check_omega
+from .spectrum import Family, Region
 
 __all__ = [
     "DENSE_DIMENSION_CAP",
@@ -58,9 +58,7 @@ def build_dense(omega: float, window: int) -> np.ndarray:
     most two nonzeros; the rows (x = window, L) and (x = -window, R) are zero
     because their sources fall outside the window.
     """
-    omega = float(omega)
-    if not math.isfinite(omega) or omega == 0.0:
-        raise ValueError(f"omega must be a nonzero finite real, got {omega!r}")
+    omega = check_omega(omega)
     n = int(window)
     if n < 1:
         raise ValueError(f"window must be >= 1, got {window!r}")
@@ -219,11 +217,13 @@ def _newton_pass(fvec, seeds: np.ndarray, grid: GridSpec, newton_tol: float, sid
 def _scan_half_plane(
     omega: float, side: int, grid: GridSpec, tol: Tolerances
 ) -> tuple[list[RootFindResult], int, int, int]:
-    fvec = (
-        (lambda z: spectrum._det_plus_grid(z, omega))
-        if side > 0
-        else (lambda z: spectrum._det_minus_grid(z, omega))
-    )
+    family = Family.PLUS if side > 0 else Family.MINUS
+
+    def fvec(z):
+        kappa = spectrum._bulk(z, spectrum._branch_sqrt, _SQRT2)[2]
+        p = spectrum._det_parameter(z, omega, kappa, family)
+        return spectrum._closed_det(p, _SQRT2, family)
+
     seeds = _half_plane_seeds(grid, side)
     z, fz, conv, dead, iters = _newton_pass(fvec, seeds, grid, tol.newton, side)
     # one restart for seeds that died crossing the cut
@@ -277,9 +277,7 @@ def find_eigenvalues_numeric(
     converged; roots are never fabricated.
     """
     tol = tol or DEFAULT_TOLERANCES
-    omega = float(omega)
-    if not math.isfinite(omega) or omega == 0.0:
-        raise ValueError(f"omega must be a nonzero finite real, got {omega!r}")
+    omega = check_omega(omega)
     if isinstance(grid, int):
         grid = GridSpec(nx=grid, ny=grid)
     grid = grid or GridSpec()
@@ -397,33 +395,6 @@ class HighPrecReport:
         return [c for c in self.checks if not c.passed]
 
 
-def _mp_magnitudes(omega):
-    om = mp.mpf(omega)
-    q = om * om - om + 1
-    root = abs(om) * mp.sqrt((om - 1) ** 4 + q * q)
-    den = 4 * (om - mp.mpf(1) / 2) ** 2 + 1
-    a = mp.sqrt((-om * (om - 1) ** 2 + root) / den)
-    b = mp.sqrt((om * (om - 1) ** 2 + root) / den)
-    return a, b
-
-
-def _mp_quadruple(omega):
-    a, b = _mp_magnitudes(omega)
-    lam1 = mp.mpc(a, b)
-    return [lam1, -mp.conj(lam1), -lam1, mp.conj(lam1)]
-
-
-def _mp_bulk(lam):
-    inv = 1 / lam
-    s = mp.sqrt(lam * lam + inv * inv)
-    r2 = mp.sqrt(2)
-    z_plus = (lam + inv + s) / r2
-    z_minus = (lam + inv - s) / r2
-    kappa = (-lam + inv + s) / r2
-    kappa_p = (-lam + inv - s) / r2
-    return z_plus, z_minus, kappa, kappa_p
-
-
 def highprec_check(omega: float, dps: int = 60, threshold: float = 1e-40) -> HighPrecReport:
     """Re-derives the spectral identities at ``dps`` significant digits.
 
@@ -435,9 +406,7 @@ def highprec_check(omega: float, dps: int = 60, threshold: float = 1e-40) -> Hig
     omega sign inequality. For omega = -1 the exact sqrt(10)-rational values
     are verified too.
     """
-    omega = float(omega)
-    if not math.isfinite(omega) or omega in (0.0, 1.0):
-        raise ValueError(f"omega must be a finite real outside {{0, 1}}, got {omega!r}")
+    omega = check_omega(omega, exclude_one=True)
     report = HighPrecReport(omega, int(dps), float(threshold))
 
     def add(name: str, err, passed=None) -> None:
@@ -450,36 +419,28 @@ def highprec_check(omega: float, dps: int = 60, threshold: float = 1e-40) -> Hig
         om = mp.mpf(omega)
         sgn = 1 if om > 0 else -1
         r2 = mp.sqrt(2)
-        quad = _mp_quadruple(omega)
+        quad = spectrum._quadruple(om, mp.sqrt, mp.mpc)
         for j, lam in enumerate(quad, start=1):
             inv = 1 / lam
             s = mp.sqrt(lam * lam + inv * inv)
-            _, _, kappa, _ = _mp_bulk(lam)
+            kappa = spectrum._bulk(lam, mp.sqrt, r2)[2]
             sig = 1 if mp.im(lam) > 0 else -1
-            if mp.re(lam) > 0:
-                param = (om / lam) * kappa
-                expected = mp.mpc(-1, -sig * sgn) / r2
-                add(f"det_parameter_plus_root_lambda{j}", abs(param - expected))
-                det = -2 - r2 * param - r2 / param
-                add(f"dependence_det_plus_zero_lambda{j}", abs(det))
-                beta = -sig * sgn
-                linear = mp.mpc(-1, beta) * lam / om + lam - inv
-                add(f"sqrt_linear_equality_lambda{j}", abs(s - linear))
-                add(f"sqrt_positive_real_part_lambda{j}", 0.0, passed=mp.re(linear) > 0)
+            family = Family.PLUS if mp.re(lam) > 0 else Family.MINUS
+            param = spectrum._det_parameter(lam, om, kappa, family)
+            det = spectrum._closed_det(param, r2, family)
+            if family is Family.PLUS:
+                root = mp.mpc(-1, -sig * sgn)
+                linear = root * lam / om + lam - inv
             else:
-                param = (lam / om) * kappa
-                expected = mp.mpc(1, sig * sgn) / r2
-                add(f"det_parameter_minus_root_lambda{j}", abs(param - expected))
-                det = -2 + r2 * param + r2 / param
-                add(f"dependence_det_minus_zero_lambda{j}", abs(det))
-                beta = sig * sgn
-                linear = mp.mpc(1, beta) * om / lam + lam - inv
-                add(f"sqrt_linear_equality_lambda{j}", abs(s - linear))
-                add(f"sqrt_positive_real_part_lambda{j}", 0.0, passed=mp.re(linear) > 0)
+                root = mp.mpc(1, sig * sgn)
+                linear = root * om / lam + lam - inv
+            add(f"det_parameter_{family.value}_root_lambda{j}", abs(param - root / r2))
+            add(f"dependence_det_{family.value}_zero_lambda{j}", abs(det))
+            add(f"sqrt_linear_equality_lambda{j}", abs(s - linear))
+            add(f"sqrt_positive_real_part_lambda{j}", 0.0, passed=mp.re(linear) > 0)
 
-        a, b = _mp_magnitudes(omega)
-        identity = abs(om) * mp.sqrt((om * om - 2 * om + 2) / (2 * om * om - 2 * om + 1))
-        add("modulus_identity", abs(a * a + b * b - identity))
+        a, b = mp.re(quad[0]), mp.im(quad[0])
+        add("modulus_identity", abs(a * a + b * b - spectrum._modulus_squared(om, mp.sqrt)))
 
         inequality = (om - 1) * (
             sgn * om * om * mp.sqrt(om * om - 2 * om + 2)
@@ -511,29 +472,6 @@ class DecayFit:
         return abs(self.fitted_rate - self.predicted_rate) / self.predicted_rate
 
 
-def _mp_eigenvector(omega, lam, n):
-    om = mp.mpf(omega)
-    z_plus, z_minus, kappa, kappa_p = _mp_bulk(lam)
-    sig = 1 if mp.im(lam) > 0 else -1
-    s = sig * (1 if om > 0 else -1)
-    if mp.re(lam) > 0:
-        k, z_r, z_l = kappa, z_minus, z_plus
-        front = s * mp.mpc(0, 1) * k
-    else:
-        k, z_r, z_l = kappa_p, z_plus, z_minus
-        front = -s * mp.mpc(0, 1) * k
-    back = -front / k
-    amps = []
-    for x in range(-n, n + 1):
-        if x >= 1:
-            amps.append([front * z_r**x, back * z_r ** (x - 1)])
-        elif x == 0:
-            amps.append([front, k])
-        else:
-            amps.append([z_l ** (x + 1), z_l**x * k])
-    return amps
-
-
 def _mp_apply_U(amps, omega, n):
     om = mp.mpf(omega)
     r2 = mp.sqrt(2)
@@ -553,6 +491,33 @@ def _mp_norm(amps):
     return mp.sqrt(mp.fsum(abs(c) ** 2 for row in amps for c in row))
 
 
+# digits kept below the smallest residual a decay fit expects to see
+_DECAY_HEADROOM_DIGITS = 25
+
+
+def _decay_residuals(omega: float, index: int, windows: tuple[int, ...], digits: int):
+    """Full-window residuals (mpf) at ``digits`` digits, and the predicted
+    rate. The bound state is built once, at the largest window; every smaller
+    window is a slice of it, since each site's amplitude is independent of the
+    window."""
+    largest = max(windows)
+    with mp.workdps(digits):
+        om = mp.mpf(omega)
+        lam = spectrum._quadruple(om, mp.sqrt, mp.mpc)[index - 1]
+        _, _, k, gamma, z_r, z_l = spectrum._profile(om, lam, mp.sqrt, mp.sqrt(2))
+        rows = spectrum._bound_rows(gamma, k, z_r, z_l, largest)
+        residuals = []
+        for n in windows:
+            amps = rows[largest - n : largest + n + 1]
+            stepped = _mp_apply_U(amps, om, n)
+            res = [
+                [stepped[i][0] - lam * amps[i][0], stepped[i][1] - lam * amps[i][1]]
+                for i in range(2 * n + 1)
+            ]
+            residuals.append(_mp_norm(res) / _mp_norm(amps))
+        return residuals, float(min(abs(z_r), abs(z_l)))
+
+
 def residual_decay(
     omega: float,
     index: int,
@@ -568,30 +533,32 @@ def residual_decay(
     decaying multiplier modulus min(|z_+|, |z_-|) (the two boundary residual
     rows are the only analytically nonzero ones and carry that factor per
     site).
+
+    A residual cannot fall below ~10^-digits, and a point on that floor bends
+    the fit, so the working precision is picked from observed residuals, never
+    from the predicted rate: the residuals at the two smallest windows,
+    computed at ``dps`` digits, are extrapolated geometrically to the largest
+    window, and the fit runs at max(dps, 25 - log10(extrapolation)) digits.
+    Should those two residuals themselves sit near 10^-dps, the extrapolation
+    falls short and the fit misses its bound rather than passing.
     """
+    omega = check_omega(omega, exclude_one=True)
+    if index not in (1, 2, 3, 4):
+        raise ValueError(f"eigenvalue index must be 1..4, got {index!r}")
     windows = tuple(int(n) for n in windows)
-    if len(windows) < 2 or any(n < 2 for n in windows):
-        raise ValueError(f"need at least two windows >= 2, got {windows!r}")
-    with mp.workdps(int(dps)):
-        quad = _mp_quadruple(omega)
-        if index not in (1, 2, 3, 4):
-            raise ValueError(f"eigenvalue index must be 1..4, got {index!r}")
-        lam = quad[index - 1]
-        z_plus, z_minus, _, _ = _mp_bulk(lam)
-        predicted = float(min(abs(z_plus), abs(z_minus)))
-        residuals = []
-        for n in windows:
-            amps = _mp_eigenvector(omega, lam, n)
-            stepped = _mp_apply_U(amps, omega, n)
-            res = [
-                [stepped[i][0] - lam * amps[i][0], stepped[i][1] - lam * amps[i][1]]
-                for i in range(2 * n + 1)
-            ]
-            residuals.append(float(_mp_norm(res) / _mp_norm(amps)))
+    if len(set(windows)) < 2 or any(n < 2 for n in windows):
+        raise ValueError(f"need at least two distinct windows >= 2, got {windows!r}")
+    w1, w2 = sorted(set(windows))[:2]
+    (r1, r2), _ = _decay_residuals(omega, index, (w1, w2), int(dps))
+    log1, log2 = mp.log10(r1), mp.log10(r2)
+    log_at_largest = log1 + (log2 - log1) * (max(windows) - w1) / (w2 - w1)
+    digits = max(int(dps), int(mp.ceil(_DECAY_HEADROOM_DIGITS - log_at_largest)))
+    residuals, predicted = _decay_residuals(omega, index, windows, digits)
+    residuals = [float(r) for r in residuals]
     xs = np.array(windows, dtype=float)
     ys = np.log(np.array(residuals))
     slope = np.polyfit(xs, ys, 1)[0]
     return DecayFit(
-        float(omega), int(index), windows, tuple(residuals),
+        omega, int(index), windows, tuple(residuals),
         float(math.exp(slope)), predicted,
     )

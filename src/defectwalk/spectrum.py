@@ -17,14 +17,13 @@ Everything here is a pure function of omega and the spectral parameter.
 
 from __future__ import annotations
 
-import cmath
 import enum
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT_TOLERANCES, Tolerances
+from .config import DEFAULT_TOLERANCES, Tolerances, check_omega
 from .sqrtbranch import principal_sqrt
 from .walk import WaveFunction
 
@@ -58,20 +57,6 @@ _PI = math.pi
 # ---------------------------------------------------------------------------
 # validation helpers
 
-def _check_omega(omega: float, *, exclude_one: bool = False) -> float:
-    omega = float(omega)
-    if not math.isfinite(omega):
-        raise ValueError(f"omega must be finite, got {omega!r}")
-    if omega == 0.0:
-        raise ValueError("omega must be a nonzero real (the defect coin is omega times the bulk coin)")
-    if exclude_one and omega == 1.0:
-        raise ValueError(
-            "omega = 1 is the homogeneous walk: the closed-form point spectrum "
-            "requires a nonzero real omega with omega != 1"
-        )
-    return omega
-
-
 def _check_lambda(lam: complex) -> complex:
     lam = complex(lam)
     if not (math.isfinite(lam.real) and math.isfinite(lam.imag)):
@@ -89,15 +74,101 @@ def _branch_sqrt(z):
 
 
 # ---------------------------------------------------------------------------
+# closed forms, each written once for every precision
+#
+# The working precision comes in through the arguments: ``sqrt`` is the
+# principal root (principal_sqrt on scalars, _branch_sqrt on numpy arrays,
+# mp.sqrt under mpmath) and ``r2`` is sqrt(2) at the same precision. Inputs
+# are validated by the callers. The operation order is part of the contract:
+# the double-precision results, and so the CLI output, depend on it.
+
+class Family(enum.Enum):
+    """Which dependence determinant an eigenvalue annihilates: PLUS for the
+    positive-real-part pair (right tail carried by z_-), MINUS for the
+    negative-real-part pair (right tail carried by z_+)."""
+
+    PLUS = "plus"
+    MINUS = "minus"
+
+
+def _magnitudes(omega, sqrt):
+    """(a, b) = (|Re lambda_j|, |Im lambda_j|) of the four point eigenvalues."""
+    q = omega * omega - omega + 1
+    root = abs(omega) * sqrt((omega - 1) ** 4 + q * q)
+    den = 4 * (omega - 0.5) ** 2 + 1
+    return (
+        sqrt((-omega * (omega - 1) ** 2 + root) / den),
+        sqrt((omega * (omega - 1) ** 2 + root) / den),
+    )
+
+
+def _quadruple(omega, sqrt, cplx):
+    """(lambda_1, ..., lambda_4), counterclockwise from a + ib; ``cplx``
+    builds a complex number from its parts."""
+    lam1 = cplx(*_magnitudes(omega, sqrt))
+    return lam1, -lam1.conjugate(), -lam1, lam1.conjugate()
+
+
+def _modulus_squared(omega, sqrt):
+    """|lambda_j|^2 from its own closed identity, independent of (a, b)."""
+    return abs(omega) * sqrt((omega * omega - 2 * omega + 2) / (2 * omega * omega - 2 * omega + 1))
+
+
+def _bulk(lam, sqrt, r2):
+    """(z_+, z_-, kappa, kappa'): the bulk transfer multipliers and the second
+    components of their eigenvectors [1, kappa], [1, kappa']."""
+    inv = 1 / lam
+    s = sqrt(lam * lam + inv * inv)
+    return (
+        (lam + inv + s) / r2,
+        (lam + inv - s) / r2,
+        (-lam + inv + s) / r2,
+        (-lam + inv - s) / r2,
+    )
+
+
+def _det_parameter(lam, omega, kappa, family):
+    """P = (omega / lambda) kappa (PLUS) or (lambda / omega) kappa (MINUS)."""
+    if family is Family.PLUS:
+        return (omega / lam) * kappa
+    return (lam / omega) * kappa
+
+
+def _closed_det(p, r2, family):
+    """Dependence determinant in its parameter: -2 -+ (sqrt2 P + sqrt2 / P)."""
+    if family is Family.PLUS:
+        return -2 - r2 * p - r2 / p
+    return -2 + r2 * p + r2 / p
+
+
+def _profile(omega, lam, sqrt, r2):
+    """(family, sign, kappa, gamma, z_decay_right, z_decay_left) of the bound
+    state at the point eigenvalue ``lam``; see EigenvectorProfile."""
+    z_plus, z_minus, kappa, kappa_p = _bulk(lam, sqrt, r2)
+    sign = 1 if (lam.imag > 0) == (omega > 0) else -1
+    if lam.real > 0:
+        return Family.PLUS, sign, kappa, sign * 1j * kappa, z_minus, z_plus
+    return Family.MINUS, sign, kappa_p, -sign * 1j * kappa_p, z_plus, z_minus
+
+
+def _bound_rows(gamma, k, z_r, z_l, window):
+    """Unnormalized (L, R) amplitudes of the three-piece bound state on sites
+    -window..window; see :func:`eigenvector`. Each site's value depends on the
+    site only, so a larger window's rows contain every smaller window's."""
+    back = -gamma / k  # pairs with the shifted right tail; equals -+ s i
+    rows = []
+    for x in range(-window, window + 1):
+        if x >= 1:
+            rows.append((gamma * z_r**x, back * z_r ** (x - 1)))
+        elif x == 0:
+            rows.append((gamma, k))
+        else:
+            rows.append((z_l ** (x + 1), z_l**x * k))
+    return rows
+
+
+# ---------------------------------------------------------------------------
 # eigenvalue magnitudes and the quadruple
-
-def _radical_parts(omega: float) -> tuple[float, float]:
-    """Numerator radical and denominator shared by the two magnitudes."""
-    q = omega * omega - omega + 1.0
-    root = abs(omega) * math.sqrt((omega - 1.0) ** 4 + q * q)
-    den = 4.0 * (omega - 0.5) ** 2 + 1.0
-    return root, den
-
 
 def abs_real_part(omega: float) -> float:
     """Common |Re lambda_j| of the four point eigenvalues.
@@ -106,16 +177,12 @@ def abs_real_part(omega: float) -> float:
     + (omega^2-omega+1)^2)) / (4 (omega-1/2)^2 + 1)); strictly positive for
     every nonzero real omega.
     """
-    omega = _check_omega(omega)
-    root, den = _radical_parts(omega)
-    return math.sqrt((-omega * (omega - 1.0) ** 2 + root) / den)
+    return _magnitudes(check_omega(omega), math.sqrt)[0]
 
 
 def abs_imag_part(omega: float) -> float:
     """Common |Im lambda_j| of the four point eigenvalues (the + sign twin)."""
-    omega = _check_omega(omega)
-    root, den = _radical_parts(omega)
-    return math.sqrt((omega * (omega - 1.0) ** 2 + root) / den)
+    return _magnitudes(check_omega(omega), math.sqrt)[1]
 
 
 @dataclass(frozen=True)
@@ -143,20 +210,13 @@ class SpectralQuadruple:
 
 def eigenvalues(omega: float) -> SpectralQuadruple:
     """Closed-form point spectrum for omega not in {0, 1}."""
-    omega = _check_omega(omega, exclude_one=True)
-    a = abs_real_part(omega)
-    b = abs_imag_part(omega)
-    lam1 = complex(a, b)
-    return SpectralQuadruple(lam1, -lam1.conjugate(), -lam1, lam1.conjugate())
+    return SpectralQuadruple(*_quadruple(check_omega(omega, exclude_one=True), math.sqrt, complex))
 
 
 def eigenvalue_modulus_squared(omega: float) -> float:
     """|lambda_j|^2 via the independent closed identity
     sgn(omega) * omega * sqrt((omega^2 - 2 omega + 2) / (2 omega^2 - 2 omega + 1))."""
-    omega = _check_omega(omega)
-    return abs(omega) * math.sqrt(
-        (omega * omega - 2.0 * omega + 2.0) / (2.0 * omega * omega - 2.0 * omega + 1.0)
-    )
+    return _modulus_squared(check_omega(omega), math.sqrt)
 
 
 # ---------------------------------------------------------------------------
@@ -169,10 +229,7 @@ def bulk_multipliers(lam: complex) -> tuple[complex, complex]:
     with the shared branch of :func:`principal_sqrt`. Always z_+ z_- = 1;
     they coalesce exactly at the four arc endpoints e^{i(2k+1)pi/4}.
     """
-    lam = _check_lambda(lam)
-    inv = 1.0 / lam
-    s = principal_sqrt(lam * lam + inv * inv)
-    return (lam + inv + s) / _SQRT2, (lam + inv - s) / _SQRT2
+    return _bulk(_check_lambda(lam), principal_sqrt, _SQRT2)[:2]
 
 
 def bulk_slopes(lam: complex) -> tuple[complex, complex]:
@@ -182,10 +239,7 @@ def bulk_slopes(lam: complex) -> tuple[complex, complex]:
     kappa  = (-lambda + lambda^{-1} + sqrt(lambda^2 + lambda^{-2})) / sqrt2
     kappa' = (-lambda + lambda^{-1} - sqrt(lambda^2 + lambda^{-2})) / sqrt2
     """
-    lam = _check_lambda(lam)
-    inv = 1.0 / lam
-    s = principal_sqrt(lam * lam + inv * inv)
-    return (-lam + inv + s) / _SQRT2, (-lam + inv - s) / _SQRT2
+    return _bulk(_check_lambda(lam), principal_sqrt, _SQRT2)[2:]
 
 
 def bulk_eigenvectors(lam: complex) -> tuple[np.ndarray, np.ndarray]:
@@ -202,7 +256,7 @@ def transfer_matrix(lam: complex, x: int, omega: float) -> np.ndarray:
     Determinant is exactly 1 in both cases.
     """
     lam = _check_lambda(lam)
-    omega = _check_omega(omega)
+    omega = check_omega(omega)
     if int(x) != x:
         raise ValueError(f"site index must be an integer, got {x!r}")
     if x == 0:
@@ -273,31 +327,42 @@ def essential_spectrum_arcs(samples_per_arc: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # dependence determinants (whose roots are the point eigenvalues)
 
+def _scalar_parameter(lam: complex, omega: float, family: Family) -> complex:
+    lam = _check_lambda(lam)
+    omega = check_omega(omega)
+    return _det_parameter(lam, omega, _bulk(lam, principal_sqrt, _SQRT2)[2], family)
+
+
 def det_parameter_plus(lam: complex, omega: float) -> complex:
     """Parameter (omega / lambda) * kappa driving the right-decaying
     dependence determinant; its root values are (-1 +- i)/sqrt2."""
-    lam = _check_lambda(lam)
-    omega = _check_omega(omega)
-    kappa, _ = bulk_slopes(lam)
-    return (omega / lam) * kappa
+    return _scalar_parameter(lam, omega, Family.PLUS)
 
 
 def det_parameter_minus(lam: complex, omega: float) -> complex:
     """Parameter (lambda / omega) * kappa driving the left-decaying
     dependence determinant; its root values are (1 +- i)/sqrt2."""
-    lam = _check_lambda(lam)
-    omega = _check_omega(omega)
-    kappa, _ = bulk_slopes(lam)
-    return (lam / omega) * kappa
+    return _scalar_parameter(lam, omega, Family.MINUS)
 
 
-def _cross_checked(raw: complex, closed: complex) -> complex:
+def _dependence_det(lam: complex, omega: float, family: Family) -> complex:
+    """det [ T_lambda(0) chi_in | chi_out ] from the literal 2x2 determinant
+    and from the closed form in P; the routes must agree or an
+    ArithmeticError is raised."""
+    chi_p, chi_m = bulk_eigenvectors(lam)
+    chi_in, chi_out = (chi_p, chi_m) if family is Family.PLUS else (chi_m, chi_p)
+    col = transfer_matrix(lam, 0, omega) @ chi_in
+    raw = col[0] * chi_out[1] - col[1] * chi_out[0]
+    p = _scalar_parameter(lam, omega, family)
+    if p == 0:
+        raise ValueError("degenerate parameter in dependence determinant")
+    closed = _closed_det(p, _SQRT2, family)
     scale = max(1.0, abs(raw), abs(closed))
     if abs(raw - closed) > 1e-9 * scale:
         raise ArithmeticError(
-            f"dependence determinant routes disagree: raw={raw!r} closed={closed!r}"
+            f"dependence determinant routes disagree: raw={complex(raw)!r} closed={closed!r}"
         )
-    return closed
+    return complex(closed)
 
 
 def dependence_det_plus(lam: complex, omega: float) -> complex:
@@ -308,16 +373,7 @@ def dependence_det_plus(lam: complex, omega: float) -> complex:
     -2 - sqrt2 * P - sqrt2 / P with P = det_parameter_plus; the routes must
     agree or an ArithmeticError is raised.
     """
-    lam = _check_lambda(lam)
-    omega = _check_omega(omega)
-    chi_p, chi_m = bulk_eigenvectors(lam)
-    col = transfer_matrix(lam, 0, omega) @ chi_p
-    raw = col[0] * chi_m[1] - col[1] * chi_m[0]
-    p = det_parameter_plus(lam, omega)
-    if p == 0:
-        raise ValueError("degenerate parameter in dependence determinant")
-    closed = -2.0 - _SQRT2 * p - _SQRT2 / p
-    return _cross_checked(complex(raw), complex(closed))
+    return _dependence_det(lam, omega, Family.PLUS)
 
 
 def dependence_det_minus(lam: complex, omega: float) -> complex:
@@ -327,45 +383,11 @@ def dependence_det_minus(lam: complex, omega: float) -> complex:
     Closed form -2 + sqrt2 * P + sqrt2 / P with P = det_parameter_minus,
     cross-checked against the literal 2x2 determinant.
     """
-    lam = _check_lambda(lam)
-    omega = _check_omega(omega)
-    chi_p, chi_m = bulk_eigenvectors(lam)
-    col = transfer_matrix(lam, 0, omega) @ chi_m
-    raw = col[0] * chi_p[1] - col[1] * chi_p[0]
-    p = det_parameter_minus(lam, omega)
-    if p == 0:
-        raise ValueError("degenerate parameter in dependence determinant")
-    closed = -2.0 + _SQRT2 * p + _SQRT2 / p
-    return _cross_checked(complex(raw), complex(closed))
-
-
-def _det_plus_grid(lams: np.ndarray, omega: float) -> np.ndarray:
-    """Vectorized closed form of dependence_det_plus for root scans."""
-    inv = 1.0 / lams
-    kappa = (-lams + inv + _branch_sqrt(lams * lams + inv * inv)) / _SQRT2
-    p = (omega * inv) * kappa
-    return -2.0 - _SQRT2 * p - _SQRT2 / p
-
-
-def _det_minus_grid(lams: np.ndarray, omega: float) -> np.ndarray:
-    """Vectorized closed form of dependence_det_minus for root scans."""
-    inv = 1.0 / lams
-    kappa = (-lams + inv + _branch_sqrt(lams * lams + inv * inv)) / _SQRT2
-    p = (lams / omega) * kappa
-    return -2.0 + _SQRT2 * p + _SQRT2 / p
+    return _dependence_det(lam, omega, Family.MINUS)
 
 
 # ---------------------------------------------------------------------------
 # eigenvectors
-
-class Family(enum.Enum):
-    """Which dependence determinant an eigenvalue annihilates: PLUS for the
-    positive-real-part pair (right tail carried by z_-), MINUS for the
-    negative-real-part pair (right tail carried by z_+)."""
-
-    PLUS = "plus"
-    MINUS = "minus"
-
 
 @dataclass(frozen=True)
 class EigenvectorProfile:
@@ -413,23 +435,10 @@ def eigenvector_profile(
     ``tol.eig_match`` and snapped to the matched value.
     """
     tol = tol or DEFAULT_TOLERANCES
-    omega = _check_omega(omega, exclude_one=True)
+    omega = check_omega(omega, exclude_one=True)
     lam = _check_lambda(lam)
     index, lam = _match_eigenvalue(omega, lam, tol)
-    z_plus, z_minus = bulk_multipliers(lam)
-    kappa, kappa_p = bulk_slopes(lam)
-    sign = 1 if (lam.imag > 0) == (omega > 0) else -1
-    if lam.real > 0:
-        family = Family.PLUS
-        gamma = sign * 1j * kappa
-        return EigenvectorProfile(
-            omega, lam, index, family, sign, kappa, gamma, z_minus, z_plus
-        )
-    family = Family.MINUS
-    gamma = -sign * 1j * kappa_p
-    return EigenvectorProfile(
-        omega, lam, index, family, sign, kappa_p, gamma, z_plus, z_minus
-    )
+    return EigenvectorProfile(omega, lam, index, *_profile(omega, lam, principal_sqrt, _SQRT2))
 
 
 def eigenvector(
@@ -455,25 +464,10 @@ def eigenvector(
     if window < 1:
         raise ValueError(f"window must be >= 1, got {window!r}")
     prof = eigenvector_profile(omega, lam, tol)
-    lam = prof.lam
-    k = prof.kappa
-    z_r = prof.z_decay_right
-    z_l = prof.z_decay_left
-    front = prof.gamma  # s i k for PLUS, -s i kappa' for MINUS
-    back = -prof.gamma / k  # pairs with the shifted right tail; equals -+ s i
-    amps = np.zeros((2 * window + 1, 2), dtype=complex)
-    for x in range(-window, window + 1):
-        i = x + window
-        if x >= 1:
-            amps[i, 0] = front * z_r**x
-            amps[i, 1] = back * z_r ** (x - 1)
-        elif x == 0:
-            amps[i, 0] = front
-            amps[i, 1] = k
-        else:
-            amps[i, 0] = z_l ** (x + 1)
-            amps[i, 1] = z_l**x * k
-    state = WaveFunction(window, amps)
+    state = WaveFunction(
+        window,
+        _bound_rows(prof.gamma, prof.kappa, prof.z_decay_right, prof.z_decay_left, window),
+    )
     r0 = state.amps[window, 1]
     state.amps *= (r0.conjugate() / abs(r0)) / state.norm()
     return state

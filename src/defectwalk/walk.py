@@ -22,6 +22,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import check_omega
+
 __all__ = [
     "WaveFunction",
     "Trajectory",
@@ -115,18 +117,14 @@ def delta_state(window: int, chirality: str = "up") -> WaveFunction:
 def coin(x: int, omega: float) -> np.ndarray:
     """Local coin: (1/sqrt2)[[1, -1], [1, 1]] away from the origin, omega
     times that at x = 0."""
-    omega = float(omega)
-    if not math.isfinite(omega) or omega == 0.0:
-        raise ValueError(f"omega must be a nonzero finite real, got {omega!r}")
+    omega = check_omega(omega)
     base = np.array([[1.0, -1.0], [1.0, 1.0]]) / _SQRT2
     return omega * base if x == 0 else base
 
 
 def apply_U(state: WaveFunction, omega: float) -> WaveFunction:
     """One evolution step with Dirichlet truncation at the window edges."""
-    omega = float(omega)
-    if not math.isfinite(omega) or omega == 0.0:
-        raise ValueError(f"omega must be a nonzero finite real, got {omega!r}")
+    omega = check_omega(omega)
     n = state.window
     w = np.ones(2 * n + 1)
     w[n] = omega
@@ -162,8 +160,7 @@ class Trajectory:
     """Per-step summary of an evolution run.
 
     Arrays are indexed by step t = 0..steps. ``norms`` holds ||psi_t|| at the
-    original scale (reconstructed from log-norms; may overflow to inf for
-    very long growing runs while ``log_norms`` stays exact).
+    original scale, reconstructed from the exact ``log_norms``.
     ``growth_running[t]`` is the tail-window geometric mean
     exp((L(t) - L(t//2)) / (t - t//2)) of the per-step norm ratios, which
     discards the transient overlap bias of the cumulative estimate; entry 0 is
@@ -206,8 +203,12 @@ def evolve(
     scale), so growing and shrinking runs are equally well conditioned. Only
     O(window) memory is used unless ``keep_states`` asks for the normalized
     per-step states. ``final_state`` is the normalized final state;
-    ``final_log_scale`` restores the original scale.
+    ``final_log_scale`` restores the original scale. A growing run whose
+    linear-scale columns would leave double range (origin_weight goes first,
+    at log-norm ~354.9) raises OverflowError naming omega, the step and the
+    log-norm there.
     """
+    omega = check_omega(omega)
     steps = int(steps)
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps!r}")
@@ -231,7 +232,14 @@ def evolve(
         log_norms[t] = log_scale
         weight_rel = current.origin_weight()
         origin_probs[t] = weight_rel
-        origin_weights[t] = weight_rel * math.exp(2.0 * log_scale)
+        try:
+            origin_weights[t] = weight_rel * math.exp(2.0 * log_scale)
+        except OverflowError:
+            raise OverflowError(
+                f"omega={omega!r}: origin_weight, a linear-scale column, leaves double "
+                f"range at step {t}, where the log-norm is {log_scale:.17g} and "
+                f"exp(2 * log-norm) exceeds the largest double"
+            ) from None
         growth[t] = _running_growth(log_norms, t)
         if keep_states:
             states.append(current.copy())

@@ -27,7 +27,7 @@ def test_help_and_missing_subcommand():
     assert run_cli("nonsense").returncode == 2
 
 
-def test_domain_errors_exit_2():
+def test_domain_errors_exit_2(tmp_path):
     for args in (
         ("spectrum", "--omega", "1"),
         ("spectrum", "--omega", "0"),
@@ -38,6 +38,16 @@ def test_domain_errors_exit_2():
         proc = run_cli(*args)
         assert proc.returncode == 2, args
         assert "error" in proc.stderr.lower() or "usage" in proc.stderr.lower()
+    # a growing run whose origin_weight leaves double range fails with a
+    # reason, not a bare "math range error", and writes nothing
+    out = tmp_path / "sim.csv"
+    proc = run_cli("simulate", "--omega", "3", "--steps", "2000", "--window", "2048",
+                   "--out", str(out))
+    assert proc.returncode == 2
+    assert "math range error" not in proc.stderr
+    assert "omega=3.0" in proc.stderr and "step 1141" in proc.stderr
+    assert "log-norm is 355.2" in proc.stderr
+    assert not out.exists()
 
 
 def test_output_is_byte_deterministic():

@@ -186,10 +186,13 @@ def test_residual_decay_unitary_point_exact_rate():
 
 
 def test_residual_decay_fast_tail_needs_extended_precision():
-    # omega = -3 reaches ~1e-54 by window 128: impossible in double
-    fit = dw.residual_decay(-3.0, 1)
-    assert fit.residuals[-1] < 1e-50
-    assert fit.relative_gap <= 0.1
+    # omega = -3 reaches ~1e-54 by window 128: impossible in double; the
+    # other tails reach 1e-92..1e-138, below the default 80 digits, and need
+    # the precision picked from the observed residuals
+    for omega in (-3.0, 0.05, -0.05, 100.0):
+        fit = dw.residual_decay(omega, 1)
+        assert fit.residuals[-1] < 1e-50, omega
+        assert fit.relative_gap <= 0.1, omega
 
 
 def test_residual_decay_validation():
@@ -197,3 +200,5 @@ def test_residual_decay_validation():
         dw.residual_decay(2.0, 5)
     with pytest.raises(ValueError):
         dw.residual_decay(2.0, 1, windows=(16,))
+    with pytest.raises(ValueError):
+        dw.residual_decay(2.0, 1, windows=(16, 16))

@@ -4,7 +4,7 @@ import cmath
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from defectwalk import principal_sqrt, sqrt_cartesian
 
@@ -72,9 +72,12 @@ def test_polar_and_cartesian_routes_agree(a, b):
 
 
 @given(finite, finite)
+@example(-1.0, -5e-324)
 def test_branch_lands_in_closed_right_half_plane(a, b):
     w = principal_sqrt(complex(a, b))
     assert w.real >= 0.0
-    if w.real == 0.0:
-        # pure-imaginary results (negative real inputs) take the upper sign
-        assert w.imag >= 0.0
+    if w.real == 0.0 and w.imag < 0.0:
+        # pure-imaginary results of negative real inputs take the upper sign;
+        # the lower one is reached only when b != 0 and the exact real part
+        # |b| / (2 |w|) underflows below the smallest subnormal
+        assert b != 0.0 and abs(b) / (2.0 * abs(w)) < math.ulp(0.0)
