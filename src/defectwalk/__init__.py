@@ -46,15 +46,11 @@ from .spectrum import (
 )
 from .oracle import (
     DecayFit,
-    GridSpec,
     HighPrecReport,
-    PowerIterationResult,
     RootScan,
     build_dense,
-    dominant_eigenvalue,
     find_eigenvalues_numeric,
     highprec_check,
-    rayleigh_quotient,
     residual_decay,
     state_to_vector,
     vector_to_state,
@@ -94,17 +90,13 @@ __all__ = [
     "eigenvector_profile",
     "eigenvector",
     "essential_spectrum_arcs",
-    "GridSpec",
     "RootScan",
-    "PowerIterationResult",
     "HighPrecReport",
     "DecayFit",
     "build_dense",
     "state_to_vector",
     "vector_to_state",
     "find_eigenvalues_numeric",
-    "rayleigh_quotient",
-    "dominant_eigenvalue",
     "highprec_check",
     "residual_decay",
 ]

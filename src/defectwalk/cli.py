@@ -315,6 +315,8 @@ def cmd_validate(args) -> int:
     suites = VALIDATE_SUITES if args.suite == "all" else (args.suite,)
     grid = tuple(args.omega_grid) if args.omega_grid else DEFAULT_OMEGA_GRID
     match_tol = args.tol if args.tol is not None else ROOT_MATCH_TOL
+    if not (math.isfinite(match_tol) and match_tol > 0):
+        raise ValueError(f"--tol must be a finite positive number, got {match_tol!r}")
     results = []
     for omega in grid:
         checks = _validate_omega(omega, suites, match_tol, args.seed_grid)
@@ -359,9 +361,12 @@ def cmd_figure(args) -> int:
     cfg = figure.FigureConfig(
         omega_min=args.omega_min, omega_max=args.omega_max, samples=args.samples
     )
-    rows = figure.figure_rows(cfg)
     svg_path = args.out
     csv_path = os.path.splitext(svg_path)[0] + ".csv"
+    if csv_path == svg_path:
+        raise ValueError(f"--out {svg_path!r} is also the path of the paired CSV; "
+                         "give the SVG another extension")
+    rows = figure.figure_rows(cfg)
     with open(svg_path, "w", encoding="utf-8") as fh:
         fh.write(figure.render_svg(rows, cfg))
     with open(csv_path, "w", encoding="utf-8") as fh:

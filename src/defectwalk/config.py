@@ -41,17 +41,15 @@ class Tolerances:
     angle      : tolerance in radians on ``arg(lambda)`` for arc membership.
     eig_match  : max distance between a user-supplied eigenvalue and the
                  nearest closed-form one before it is rejected.
-    newton     : residual threshold ``|D(root)|`` declaring Newton convergence.
     """
 
     circle: float = 1e-9
     angle: float = 1e-9
     eig_match: float = 1e-6
-    newton: float = 1e-11
 
     def with_equality_tol(self, value: float) -> "Tolerances":
-        """Override the membership knobs (circle, angle) together; the
-        algorithmic knobs (eig_match, newton) stay put."""
+        """Override the membership knobs (circle, angle) together;
+        eig_match stays put."""
         if not value > 0:
             raise ValueError(f"tolerance must be positive, got {value!r}")
         return replace(self, circle=value, angle=value)

@@ -3,7 +3,7 @@
 Four routes that do not assume the closed-form answers:
 
 * a literal dense matrix of the truncated operator (checked against the
-  vectorized stepper and fed to power iteration),
+  vectorized stepper),
 * a blind Newton scan for roots of the dependence determinants over a
   complex-plane grid,
 * extended-precision (mpmath) re-derivation of the determinant-parameter
@@ -20,15 +20,13 @@ import mpmath as mp
 import numpy as np
 
 from . import spectrum, walk
-from .config import DEFAULT_TOLERANCES, Tolerances, check_omega
+from .config import check_omega
 from .spectrum import Family, Region
 
 __all__ = [
     "DENSE_DIMENSION_CAP",
-    "GridSpec",
     "RootFindResult",
     "RootScan",
-    "PowerIterationResult",
     "PrecisionCheck",
     "HighPrecReport",
     "DecayFit",
@@ -36,8 +34,6 @@ __all__ = [
     "state_to_vector",
     "vector_to_state",
     "find_eigenvalues_numeric",
-    "rayleigh_quotient",
-    "dominant_eigenvalue",
     "highprec_check",
     "residual_decay",
 ]
@@ -97,33 +93,23 @@ def vector_to_state(vec: np.ndarray, window: int) -> walk.WaveFunction:
 # ---------------------------------------------------------------------------
 # blind Newton scan for determinant roots
 
-@dataclass(frozen=True)
-class GridSpec:
-    """Seed grid for the root scan: an nx-by-ny rectangle per half-plane,
-    restricted to the annulus r_min <= |seed| <= r_max and kept seed_margin
-    away from the branch cut (the imaginary axis and the essential-spectrum
-    arcs, where the square root of lambda^2 + lambda^{-2} jumps)."""
-
-    nx: int = 60
-    ny: int = 60
-    r_min: float = 0.2
-    r_max: float = 3.0
-    seed_margin: float = 0.05
-    max_iter: int = 60
-    fd_step: float = 1e-7
-    step_cap: float = 0.5
-    dedup: float = 1e-6
-    cut_margin: float = 1e-6
-
-    def __post_init__(self) -> None:
-        if self.nx < 2 or self.ny < 2:
-            raise ValueError(f"seed grid needs nx, ny >= 2, got {self.nx}x{self.ny}")
-        if not 0.0 < self.r_min < self.r_max:
-            raise ValueError(
-                f"annulus needs 0 < r_min < r_max, got [{self.r_min}, {self.r_max}]"
-            )
-        if self.max_iter < 1:
-            raise ValueError(f"max_iter must be >= 1, got {self.max_iter!r}")
+# Seeds: a SEED_GRID-by-SEED_GRID rectangle per half-plane, clipped to the
+# annulus SEED_R_MIN <= |seed| <= SEED_R_MAX and kept SEED_MARGIN away from
+# the branch cut (the imaginary axis and the essential-spectrum arcs, where
+# the square root of lambda^2 + lambda^-2 jumps).
+SEED_GRID = 60
+SEED_R_MIN = 0.2
+SEED_R_MAX = 3.0
+SEED_MARGIN = 0.05
+# Newton: iteration cap, finite-difference step, step-length cap, residual
+# |D(root)| declaring convergence, and how close to the cut an iterate dies.
+MAX_ITER = 60
+FD_STEP = 1e-7
+STEP_CAP = 0.5
+NEWTON_TOL = 1e-11
+CUT_MARGIN = 1e-6
+# roots closer than this are one root
+DEDUP = 1e-6
 
 
 @dataclass(frozen=True)
@@ -132,7 +118,6 @@ class RootFindResult:
     residual: float
     iterations: int
     seed: complex
-    converged: bool
     region: Region
 
 
@@ -163,59 +148,56 @@ def _distance_to_cut(lams: np.ndarray) -> np.ndarray:
     return np.where(in_arc, np.abs(r - 1.0), d_end)
 
 
-def _half_plane_seeds(grid: GridSpec, side: int) -> np.ndarray:
-    res = np.linspace(grid.seed_margin, grid.r_max, grid.nx)
-    ims = np.linspace(-grid.r_max, grid.r_max, grid.ny)
+def _half_plane_seeds(grid: int, side: int) -> np.ndarray:
+    res = np.linspace(SEED_MARGIN, SEED_R_MAX, grid)
+    ims = np.linspace(-SEED_R_MAX, SEED_R_MAX, grid)
     lams = (side * res[:, None] + 1j * ims[None, :]).reshape(-1)
     r = np.abs(lams)
-    keep = (r >= grid.r_min) & (r <= grid.r_max)
-    keep &= _distance_to_cut(lams) >= grid.seed_margin
+    keep = (r >= SEED_R_MIN) & (r <= SEED_R_MAX)
+    keep &= _distance_to_cut(lams) >= SEED_MARGIN
     return lams[keep]
 
 
-def _newton_pass(fvec, seeds: np.ndarray, grid: GridSpec, newton_tol: float, side: int):
+def _newton_pass(fvec, seeds: np.ndarray, side: int):
     """Vectorized damped Newton with finite-difference derivative.
 
-    Iterates that flip into the other half-plane or land within cut_margin of
+    Iterates that flip into the other half-plane or land within CUT_MARGIN of
     the branch cut are killed (the caller may restart them from perturbed
-    seeds); steps are capped at step_cap to stay inside the seed's basin.
+    seeds); steps are capped at STEP_CAP to stay inside the seed's basin.
     """
     z = seeds.astype(complex)
     with np.errstate(all="ignore"):
         fz = fvec(z)
-        converged = np.abs(fz) < newton_tol
+        converged = np.abs(fz) < NEWTON_TOL
         dead = ~np.isfinite(fz)
         iters = np.zeros(z.shape, dtype=int)
-        h = grid.fd_step
-        for it in range(1, grid.max_iter + 1):
+        for it in range(1, MAX_ITER + 1):
             active = ~converged & ~dead
             if not active.any():
                 break
-            deriv = (fvec(z + h) - fvec(z - h)) / (2.0 * h)
+            deriv = (fvec(z + FD_STEP) - fvec(z - FD_STEP)) / (2.0 * FD_STEP)
             bad = (deriv == 0) | ~np.isfinite(deriv)
             step = np.where(bad, 0.0, fz / np.where(bad, 1.0, deriv))
             mag = np.abs(step)
-            scale = np.where(
-                mag > grid.step_cap, grid.step_cap / np.where(mag == 0, 1.0, mag), 1.0
-            )
+            scale = np.where(mag > STEP_CAP, STEP_CAP / np.where(mag == 0, 1.0, mag), 1.0)
             z_try = z - step * scale
             crossed = (np.sign(z_try.real) != side) | (np.abs(z_try) < 1e-8)
-            near_cut = (_distance_to_cut(z_try) < grid.cut_margin) | (
-                np.abs(z_try.real) < grid.cut_margin
+            near_cut = (_distance_to_cut(z_try) < CUT_MARGIN) | (
+                np.abs(z_try.real) < CUT_MARGIN
             )
             dying = active & (bad | crossed | near_cut)
             dead |= dying
             moving = active & ~dying
             z = np.where(moving, z_try, z)
             fz = np.where(moving, fvec(z), fz)
-            newly = moving & (np.abs(fz) < newton_tol)
+            newly = moving & (np.abs(fz) < NEWTON_TOL)
             iters = np.where(newly, it, iters)
             converged |= newly
     return z, fz, converged, dead, iters
 
 
 def _scan_half_plane(
-    omega: float, side: int, grid: GridSpec, tol: Tolerances
+    omega: float, side: int, grid: int
 ) -> tuple[list[RootFindResult], int, int, int]:
     family = Family.PLUS if side > 0 else Family.MINUS
 
@@ -225,35 +207,41 @@ def _scan_half_plane(
         return spectrum._closed_det(p, _SQRT2, family)
 
     seeds = _half_plane_seeds(grid, side)
-    z, fz, conv, dead, iters = _newton_pass(fvec, seeds, grid, tol.newton, side)
+    z, fz, conv, dead, iters = _newton_pass(fvec, seeds, side)
     # one restart for seeds that died crossing the cut
     retry = dead & ~conv
     if retry.any():
-        jitter = 0.5 * grid.seed_margin * (1.0 + 0.7j)
+        jitter = 0.5 * SEED_MARGIN * (1.0 + 0.7j)
         seeds2 = seeds[retry] + side * jitter
-        z2, fz2, conv2, _, iters2 = _newton_pass(fvec, seeds2, grid, tol.newton, side)
+        z2, fz2, conv2, _, iters2 = _newton_pass(fvec, seeds2, side)
         z = np.concatenate([z, z2])
         fz = np.concatenate([fz, fz2])
         conv = np.concatenate([conv, conv2])
         iters = np.concatenate([iters, iters2])
         seeds = np.concatenate([seeds, seeds2])
 
-    ok = conv & (np.abs(z) >= grid.r_min) & (np.abs(z) <= grid.r_max)
+    # Every eigenvalue obeys min(1, |omega|) <= |lambda| <= max(1, |omega|):
+    # the shift is unitary and the coin is unitary but for the factor omega
+    # at one site, so ||U|| = max(1, |omega|) and ||U^-1|| = max(1, 1/|omega|).
+    # A root is kept anywhere in the seed annulus widened to that bound.
+    r_lo = min(SEED_R_MIN, abs(omega))
+    r_hi = max(SEED_R_MAX, abs(omega))
+    ok = conv & (np.abs(z) >= r_lo) & (np.abs(z) <= r_hi)
     ok &= np.sign(z.real) == side
     results: dict[tuple[int, int], RootFindResult] = {}
     for root, res, it, seed in zip(z[ok], np.abs(fz[ok]), iters[ok], seeds[ok]):
-        key = (round(root.real / grid.dedup), round(root.imag / grid.dedup))
+        key = (round(root.real / DEDUP), round(root.imag / DEDUP))
         prev = results.get(key)
         if prev is None or res < prev.residual:
             results[key] = RootFindResult(
-                complex(root), float(res), int(it), complex(seed), True,
-                spectrum.classify(complex(root), tol),
+                complex(root), float(res), int(it), complex(seed),
+                spectrum.classify(complex(root)),
             )
     # merge representatives that straddle a rounding boundary
     merged: list[RootFindResult] = []
     for cand in sorted(results.values(), key=lambda r: (r.root.real, r.root.imag)):
         for i, kept in enumerate(merged):
-            if abs(kept.root - cand.root) <= 2.0 * grid.dedup:
+            if abs(kept.root - cand.root) <= 2.0 * DEDUP:
                 if cand.residual < kept.residual:
                     merged[i] = cand
                 break
@@ -264,110 +252,31 @@ def _scan_half_plane(
     return merged, n_attempted, n_converged, n_attempted - n_converged
 
 
-def find_eigenvalues_numeric(
-    omega: float,
-    grid: GridSpec | int | None = None,
-    tol: Tolerances | None = None,
-) -> RootScan:
+def find_eigenvalues_numeric(omega: float, grid: int | None = None) -> RootScan:
     """Blind root scan of both dependence determinants.
 
-    Never consults the closed-form eigenvalues: seeds cover the annulus, the
+    Never consults the closed-form eigenvalues: seeds cover the annulus on a
+    ``grid``-by-``grid`` rectangle per half-plane (default SEED_GRID), the
     determinants are evaluated from the transfer machinery, and whatever
-    converges is deduplicated and reported. An empty result means no seed
-    converged; roots are never fabricated.
+    converges within the operator-norm bound on |lambda| is deduplicated and
+    reported. An empty result means no seed converged; roots are never
+    fabricated.
     """
-    tol = tol or DEFAULT_TOLERANCES
     omega = check_omega(omega)
-    if isinstance(grid, int):
-        grid = GridSpec(nx=grid, ny=grid)
-    grid = grid or GridSpec()
+    grid = SEED_GRID if grid is None else int(grid)
+    if grid < 2:
+        raise ValueError(f"seed grid needs at least 2 points per axis, got {grid}")
 
     results: list[RootFindResult] = []
     attempted = converged = failed = 0
     for side in (1, -1):
-        part, n_a, n_c, n_f = _scan_half_plane(omega, side, grid, tol)
+        part, n_a, n_c, n_f = _scan_half_plane(omega, side, grid)
         results.extend(part)
         attempted += n_a
         converged += n_c
         failed += n_f
     results.sort(key=lambda r: math.atan2(r.root.imag, r.root.real) % (2.0 * math.pi))
     return RootScan(omega, results, attempted, converged, failed)
-
-
-# ---------------------------------------------------------------------------
-# power iteration on the dense truncation
-
-@dataclass
-class PowerIterationResult:
-    estimate: complex
-    converged: bool
-    iterations: int
-    history: np.ndarray
-
-
-def rayleigh_quotient(matrix: np.ndarray, vec: np.ndarray) -> complex:
-    denom = np.vdot(vec, vec)
-    if denom == 0:
-        raise ValueError("Rayleigh quotient of the zero vector")
-    return complex(np.vdot(vec, matrix @ vec) / denom)
-
-
-def dominant_eigenvalue(
-    matrix: np.ndarray,
-    iterations: int,
-    shift: complex | None = None,
-    seed: np.ndarray | None = None,
-    rtol: float = 1e-10,
-) -> PowerIterationResult:
-    """Power iteration tracking the Rayleigh quotient of the ORIGINAL matrix.
-
-    The truncated walk is real, so its four dominant eigenvalues are exactly
-    modulus-tied (+-lambda, +-conj(lambda)) and the raw iteration cannot
-    settle on one of them; the oscillating estimate is then reported with
-    ``converged`` False. Passing ``shift`` (e.g. a root from the Newton scan)
-    iterates matrix + shift * I, which breaks the tie in favor of the
-    eigenvalue nearest the shift while the reported quotient still belongs to
-    the original matrix. Dirichlet truncation also introduces edge-localized
-    finite-section eigenvalues; only bulk-localized eigenvalues of the full
-    operator are expected to match closed forms (up to ~|z_decay|^window).
-    """
-    matrix = np.asarray(matrix, dtype=complex)
-    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-        raise ValueError(f"matrix must be square, got shape {matrix.shape}")
-    iterations = int(iterations)
-    if iterations < 0:
-        raise ValueError(f"iterations must be >= 0, got {iterations!r}")
-    n = matrix.shape[0]
-    if seed is None:
-        rng = np.random.default_rng(20260814)
-        vec = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    else:
-        vec = np.asarray(seed, dtype=complex).reshape(-1)
-        if vec.shape[0] != n:
-            raise ValueError(f"seed length {vec.shape[0]} != matrix dimension {n}")
-    nrm = np.linalg.norm(vec)
-    if nrm == 0:
-        raise ValueError("seed vector is zero")
-    vec = vec / nrm
-
-    stepper = matrix if shift is None else matrix + complex(shift) * np.eye(n)
-    history = np.empty(iterations, dtype=complex)
-    estimate = rayleigh_quotient(matrix, vec)
-    for k in range(iterations):
-        vec = stepper @ vec
-        nrm = np.linalg.norm(vec)
-        if nrm == 0:
-            history = history[:k]
-            break
-        vec = vec / nrm
-        estimate = rayleigh_quotient(matrix, vec)
-        history[k] = estimate
-    done = len(history)
-    converged = done >= 3 and all(
-        abs(history[-i] - history[-i - 1]) <= rtol * max(1.0, abs(history[-1]))
-        for i in (1, 2)
-    )
-    return PowerIterationResult(estimate, bool(converged), done, history)
 
 
 # ---------------------------------------------------------------------------

@@ -162,9 +162,11 @@ class Trajectory:
     Arrays are indexed by step t = 0..steps. ``norms`` holds ||psi_t|| at the
     original scale, reconstructed from the exact ``log_norms``.
     ``growth_running[t]`` is the tail-window geometric mean
-    exp((L(t) - L(t//2)) / (t - t//2)) of the per-step norm ratios, which
-    discards the transient overlap bias of the cumulative estimate; entry 0 is
-    1.0 by convention. ``origin_probs`` is origin weight / squared norm; note
+    exp((L(t) - L(h)) / (t - h)) of the per-step norm ratios, which discards
+    the transient overlap bias of the cumulative estimate. The window starts
+    at h = t//2, moved one step earlier when t - t//2 is odd so that the
+    window length is even (t = 1 keeps its window of 1); entry 0 is 1.0 by
+    convention. ``origin_probs`` is origin weight / squared norm; note
     a delta start makes it exactly 0 at every odd step (sublattice parity).
     ``truncated`` flags a light cone reaching the window edge, after which
     steps are no longer exact.
@@ -188,6 +190,10 @@ def _running_growth(log_norms: np.ndarray, t: int) -> float:
     if t == 0:
         return 1.0
     half = t // 2
+    # the +-lambda, +-conj(lambda) quadruple makes the norm oscillate with
+    # period 2, which only an even window averages out
+    if (t - half) % 2 and half > 0:
+        half -= 1
     return math.exp((log_norms[t] - log_norms[half]) / (t - half))
 
 

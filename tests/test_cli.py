@@ -34,6 +34,10 @@ def test_domain_errors_exit_2(tmp_path):
         ("eigvec", "--omega", "2", "--index", "5"),   # argparse choices
         ("eigvec", "--omega", "2", "--index", "1", "--window", "0"),
         ("simulate", "--omega", "0", "--steps", "5", "--window", "8"),
+        # a root set-match tolerance that no gap can meet is a usage error,
+        # not a failed validation
+        *(("validate", "--suite", "roots", "--omega-grid", "2", "--tol", bad)
+          for bad in ("nan", "0", "-1e-8", "inf")),
     ):
         proc = run_cli(*args)
         assert proc.returncode == 2, args
@@ -305,5 +309,11 @@ def test_figure_loci_approach_the_arc_corners(tmp_path):
     assert all(g1 > g2 for g1, g2 in zip(gaps_below, gaps_below[1:]))
 
 
-def test_figure_rejects_bad_range():
+def test_figure_rejects_bad_range(tmp_path):
     assert run_cli("figure", "--omega-min", "3", "--omega-max", "-3").returncode == 2
+    # the paired CSV path of X.csv is X.csv itself: refuse, write nothing
+    out = tmp_path / "fig.csv"
+    proc = run_cli("figure", "--out", str(out))
+    assert proc.returncode == 2
+    assert "error" in proc.stderr
+    assert not out.exists()

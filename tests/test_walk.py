@@ -146,11 +146,23 @@ def test_evolve_matches_manual_iteration():
 
 def test_running_growth_definition():
     traj = dw.evolve(dw.delta_state(40, "up"), 2.0, 20)
-    t = 17
-    half = t // 2
-    want = math.exp((traj.log_norms[t] - traj.log_norms[half]) / (t - half))
-    assert traj.growth_running[t] == pytest.approx(want, rel=1e-14)
+    # the tail window (half, t] has even length: t - t//2, or one more when
+    # that is odd (t = 17: 17 - 8 = 9, so the window starts at 7)
+    for t, half in ((16, 8), (17, 7), (18, 8), (19, 9)):
+        want = math.exp((traj.log_norms[t] - traj.log_norms[half]) / (t - half))
+        assert traj.growth_running[t] == pytest.approx(want, rel=1e-14)
+    assert traj.growth_running[1] == pytest.approx(math.exp(traj.log_norms[1] - traj.log_norms[0]),
+                                                   rel=1e-14)
     assert traj.growth_running[0] == 1.0
+
+
+def test_running_growth_is_unbiased_at_every_step_count():
+    # the +-lambda, +-conj(lambda) pair makes the norm oscillate with period
+    # 2; the odd windows t - t//2 at t = 401 and 402 miss |lambda_1| by ~6.6e-4
+    traj = dw.evolve(dw.delta_state(512, "up"), 2.0, 402)
+    lam1 = abs(dw.eigenvalues(2.0).by_index(1))
+    for t in (400, 401, 402):
+        assert abs(traj.growth_running[t] - lam1) <= 1e-12, t
 
 
 def test_delta_start_has_odd_step_parity():
