@@ -9,6 +9,9 @@ is deterministic: no timestamps, metadata in '#'-prefixed lines, numbers with
 17 significant digits in CSV and exact round-trip floats in JSON. The
 DEFECTWALK_TOL environment variable overrides the default membership
 tolerances; --tol (where accepted) takes precedence over it.
+
+Each command imports the modules it runs, so that --version and usage
+errors load neither numpy nor mpmath, and only validate loads mpmath.
 """
 
 from __future__ import annotations
@@ -19,9 +22,7 @@ import math
 import os
 import sys
 
-import numpy as np
-
-from . import __version__, figure, oracle, spectrum, walk
+from . import __version__
 from .config import Tolerances
 
 __all__ = ["main", "entrypoint", "read_eigvec_csv"]
@@ -67,6 +68,8 @@ def _tolerances(args) -> Tolerances:
 # spectrum
 
 def cmd_spectrum(args) -> int:
+    from . import spectrum
+
     tol = _tolerances(args)
     quad = spectrum.eigenvalues(args.omega)
     entries = []
@@ -107,6 +110,8 @@ def cmd_spectrum(args) -> int:
 # eigvec
 
 def cmd_eigvec(args) -> int:
+    from . import spectrum, walk
+
     tol = _tolerances(args)
     quad = spectrum.eigenvalues(args.omega)
     lam = quad.by_index(args.index)
@@ -155,6 +160,10 @@ def cmd_eigvec(args) -> int:
 
 def read_eigvec_csv(text: str) -> tuple[walk.WaveFunction, dict]:
     """Parse an eigvec CSV export back into a state plus its metadata."""
+    import numpy as np
+
+    from . import walk
+
     meta: dict[str, float] = {}
     rows: list[tuple[int, complex, complex]] = []
     for line in text.splitlines():
@@ -190,6 +199,8 @@ def read_eigvec_csv(text: str) -> tuple[walk.WaveFunction, dict]:
 # simulate
 
 def cmd_simulate(args) -> int:
+    from . import walk
+
     chirality = INITIAL_CHOICES[args.initial]
     state = walk.delta_state(args.window, chirality)
     traj = walk.evolve(state, args.omega, args.steps, keep_states=args.dump is not None)
@@ -268,6 +279,8 @@ def _check(name: str, passed: bool, error: float) -> dict:
 
 def _validate_omega(omega: float, suites: tuple[str, ...], match_tol: float,
                     seed_grid: int | None) -> list[dict]:
+    from . import oracle, spectrum, walk
+
     checks: list[dict] = []
     if "highprec" in suites:
         report = oracle.highprec_check(omega)
@@ -358,6 +371,8 @@ def cmd_validate(args) -> int:
 # figure
 
 def cmd_figure(args) -> int:
+    from . import figure
+
     cfg = figure.FigureConfig(
         omega_min=args.omega_min, omega_max=args.omega_max, samples=args.samples
     )

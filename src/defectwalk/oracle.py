@@ -381,50 +381,63 @@ class DecayFit:
         return abs(self.fitted_rate - self.predicted_rate) / self.predicted_rate
 
 
-def _mp_apply_U(amps, omega, n):
-    om = mp.mpf(omega)
-    r2 = mp.sqrt(2)
-    out = [[mp.mpc(0), mp.mpc(0)] for _ in range(2 * n + 1)]
-    for i in range(2 * n + 1):
-        x = i - n
-        if x + 1 <= n:
-            w = om if x + 1 == 0 else 1
-            out[i][0] = w * (amps[i + 1][0] - amps[i + 1][1]) / r2
-        if x - 1 >= -n:
-            w = om if x - 1 == 0 else 1
-            out[i][1] = w * (amps[i - 1][0] + amps[i - 1][1]) / r2
-    return out
+def _mp_powers(z, n):
+    """[z**0, z**1, ..., z**n] by running products."""
+    table = [mp.mpc(1)]
+    for _ in range(n):
+        table.append(table[-1] * z)
+    return table
 
 
-def _mp_norm(amps):
-    return mp.sqrt(mp.fsum(abs(c) ** 2 for row in amps for c in row))
+class _DecayBuild:
+    """The mpmath bound state of eigenvalue ``index`` on sites
+    -largest..largest at the working precision, built once; the residual of
+    every window n <= largest is taken on its slice, since each site's
+    amplitude is independent of the window."""
+
+    def __init__(self, omega: float, index: int, largest: int):
+        self.om = mp.mpf(omega)
+        self.lam = spectrum._quadruple(self.om, mp.sqrt, mp.mpc)[index - 1]
+        self.r2 = mp.sqrt(2)
+        _, _, k, gamma, z_r, z_l = spectrum._profile(self.om, self.lam, mp.sqrt, self.r2)
+        self.rows = spectrum._bound_rows(
+            gamma, k, _mp_powers(z_r, largest), _mp_powers(1 / z_l, largest), largest
+        )
+        self.mid = largest
+        self.predicted = float(min(abs(z_r), abs(z_l)))
+
+    def residual(self, n: int):
+        """||U_n psi - lambda psi|| / ||psi|| on the window-n slice: each site
+        is stepped and compared with lambda psi in one pass, the sources
+        outside the window counting as zero."""
+        rows, om, lam, r2, mid = self.rows, self.om, self.lam, self.r2, self.mid
+        lo, hi = mid - n, mid + n
+
+        def terms():
+            for i in range(lo, hi + 1):
+                amp_l, amp_r = rows[i]
+                if i < hi:  # L at x comes from site x + 1
+                    src_l, src_r = rows[i + 1]
+                    w = om if i + 1 == mid else 1
+                    yield w * (src_l - src_r) / r2 - lam * amp_l
+                else:
+                    yield -lam * amp_l
+                if i > lo:  # R at x comes from site x - 1
+                    src_l, src_r = rows[i - 1]
+                    w = om if i - 1 == mid else 1
+                    yield w * (src_l + src_r) / r2 - lam * amp_r
+                else:
+                    yield -lam * amp_r
+
+        # squared norms: fsum squares the real and imaginary parts exactly and
+        # rounds once, with no square root per entry
+        amps = (c for row in rows[lo : hi + 1] for c in row)
+        res2 = mp.fsum(terms(), absolute=True, squared=True)
+        return mp.sqrt(res2 / mp.fsum(amps, absolute=True, squared=True))
 
 
 # digits kept below the smallest residual a decay fit expects to see
 _DECAY_HEADROOM_DIGITS = 25
-
-
-def _decay_residuals(omega: float, index: int, windows: tuple[int, ...], digits: int):
-    """Full-window residuals (mpf) at ``digits`` digits, and the predicted
-    rate. The bound state is built once, at the largest window; every smaller
-    window is a slice of it, since each site's amplitude is independent of the
-    window."""
-    largest = max(windows)
-    with mp.workdps(digits):
-        om = mp.mpf(omega)
-        lam = spectrum._quadruple(om, mp.sqrt, mp.mpc)[index - 1]
-        _, _, k, gamma, z_r, z_l = spectrum._profile(om, lam, mp.sqrt, mp.sqrt(2))
-        rows = spectrum._bound_rows(gamma, k, z_r, z_l, largest)
-        residuals = []
-        for n in windows:
-            amps = rows[largest - n : largest + n + 1]
-            stepped = _mp_apply_U(amps, om, n)
-            res = [
-                [stepped[i][0] - lam * amps[i][0], stepped[i][1] - lam * amps[i][1]]
-                for i in range(2 * n + 1)
-            ]
-            residuals.append(_mp_norm(res) / _mp_norm(amps))
-        return residuals, float(min(abs(z_r), abs(z_l)))
 
 
 def residual_decay(
@@ -450,6 +463,11 @@ def residual_decay(
     window, and the fit runs at max(dps, 25 - log10(extrapolation)) digits.
     Should those two residuals themselves sit near 10^-dps, the extrapolation
     falls short and the fit misses its bound rather than passing.
+
+    The bound state is built once per precision, at the largest window, with
+    its tail powers as running products; every window is still stepped in
+    full on its slice of that build. The probe's build serves every window
+    when no more digits are needed.
     """
     omega = check_omega(omega, exclude_one=True)
     if index not in (1, 2, 3, 4):
@@ -458,11 +476,18 @@ def residual_decay(
     if len(set(windows)) < 2 or any(n < 2 for n in windows):
         raise ValueError(f"need at least two distinct windows >= 2, got {windows!r}")
     w1, w2 = sorted(set(windows))[:2]
-    (r1, r2), _ = _decay_residuals(omega, index, (w1, w2), int(dps))
-    log1, log2 = mp.log10(r1), mp.log10(r2)
-    log_at_largest = log1 + (log2 - log1) * (max(windows) - w1) / (w2 - w1)
+    largest = max(windows)
+    with mp.workdps(int(dps)):
+        build = _DecayBuild(omega, index, largest)
+        probe = {n: build.residual(n) for n in (w1, w2)}
+    log1, log2 = mp.log10(probe[w1]), mp.log10(probe[w2])
+    log_at_largest = log1 + (log2 - log1) * (largest - w1) / (w2 - w1)
     digits = max(int(dps), int(mp.ceil(_DECAY_HEADROOM_DIGITS - log_at_largest)))
-    residuals, predicted = _decay_residuals(omega, index, windows, digits)
+    with mp.workdps(digits):
+        if digits > int(dps):
+            build, probe = _DecayBuild(omega, index, largest), {}
+        residuals = [probe[n] if n in probe else build.residual(n) for n in windows]
+    predicted = build.predicted
     residuals = [float(r) for r in residuals]
     xs = np.array(windows, dtype=float)
     ys = np.log(np.array(residuals))

@@ -151,19 +151,21 @@ def _profile(omega, lam, sqrt, r2):
     return Family.MINUS, sign, kappa_p, -sign * 1j * kappa_p, z_plus, z_minus
 
 
-def _bound_rows(gamma, k, z_r, z_l, window):
+def _bound_rows(gamma, k, right, left, window):
     """Unnormalized (L, R) amplitudes of the three-piece bound state on sites
-    -window..window; see :func:`eigenvector`. Each site's value depends on the
-    site only, so a larger window's rows contain every smaller window's."""
+    -window..window; see :func:`eigenvector`. The tail powers come from the
+    tables ``right[m] = z_r**m`` and ``left[m] = z_l**-m``, m = 0..window,
+    filled by the caller at its own precision. Each site's value depends on
+    the site only, so a larger window's rows contain every smaller window's."""
     back = -gamma / k  # pairs with the shifted right tail; equals -+ s i
     rows = []
     for x in range(-window, window + 1):
         if x >= 1:
-            rows.append((gamma * z_r**x, back * z_r ** (x - 1)))
+            rows.append((gamma * right[x], back * right[x - 1]))
         elif x == 0:
             rows.append((gamma, k))
         else:
-            rows.append((z_l ** (x + 1), z_l**x * k))
+            rows.append((left[-x - 1], left[-x] * k))
     return rows
 
 
@@ -464,10 +466,9 @@ def eigenvector(
     if window < 1:
         raise ValueError(f"window must be >= 1, got {window!r}")
     prof = eigenvector_profile(omega, lam, tol)
-    state = WaveFunction(
-        window,
-        _bound_rows(prof.gamma, prof.kappa, prof.z_decay_right, prof.z_decay_left, window),
-    )
+    right = [prof.z_decay_right**m for m in range(window + 1)]
+    left = [prof.z_decay_left**-m for m in range(window + 1)]
+    state = WaveFunction(window, _bound_rows(prof.gamma, prof.kappa, right, left, window))
     r0 = state.amps[window, 1]
     state.amps *= (r0.conjugate() / abs(r0)) / state.norm()
     return state

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import json
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -19,6 +21,54 @@ def test_module_entry_point_and_version():
     proc = run_cli("--version")
     assert proc.returncode == 0
     assert proc.stdout.strip() == f"defectwalk {dw.__version__}"
+
+
+def _imported_by(*args: str) -> tuple[subprocess.CompletedProcess, set[str]]:
+    """Run ``python -X importtime -m defectwalk *args``; the names of the
+    modules the process imported, from the importtime lines on stderr."""
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "defectwalk", *args],
+        capture_output=True, text=True, timeout=120,
+    )
+    names = {line.rsplit("|", 1)[1].strip()
+             for line in proc.stderr.splitlines() if line.startswith("import time:")}
+    return proc, names
+
+
+def test_startup_imports_only_what_the_subcommand_runs(tmp_path):
+    proc, names = _imported_by("--version")
+    assert proc.returncode == 0
+    assert "defectwalk.cli" in names
+    assert not {"numpy", "mpmath"} & names
+    proc, names = _imported_by("spectrum", "--omega", "nope")  # usage error
+    assert proc.returncode == 2
+    assert not {"numpy", "mpmath"} & names
+    proc, names = _imported_by("spectrum", "--omega", "2")
+    assert proc.returncode == 0
+    assert "mpmath" not in names
+    proc, names = _imported_by("validate", "--omega-grid", "2", "--suite", "highprec",
+                               "--out", str(tmp_path / "v.json"))
+    assert proc.returncode == 0
+    assert "mpmath" in names
+
+
+def test_package_names_resolve_on_first_use():
+    code = (
+        "import sys\n"
+        "import defectwalk\n"
+        "assert not {'numpy', 'mpmath'} & set(sys.modules)\n"
+        "fit = defectwalk.oracle.residual_decay\n"
+        "from defectwalk import build_dense\n"
+        "assert build_dense is defectwalk.oracle.build_dense\n"
+        "assert set(defectwalk.__all__) <= set(dir(defectwalk))\n"
+        "print(fit.__module__, build_dense.__module__)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["defectwalk.oracle", "defectwalk.oracle"]
+    with pytest.raises(AttributeError):
+        dw.no_such_name
 
 
 def test_help_and_missing_subcommand():

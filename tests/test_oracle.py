@@ -186,6 +186,66 @@ def test_residual_decay_fast_tail_needs_extended_precision():
         assert fit.relative_gap <= 0.1, omega
 
 
+# residual_decay(omega, j) at the default windows and dps, recorded from the
+# implementation that raised each residual's tail powers with mpc ``**`` and
+# built every window separately; the four indices of one omega agree. The
+# residuals and predicted rates (mpmath) must not move by one bit: the decay
+# fit is the same computation, only cheaper. 0.01, -0.0501039, 15.8442 and 100
+# run above the default 80 digits.
+DECAY_GOLDEN = {
+    2.0: (
+        (0.00855833267381958, 0.0002190278965968499,
+         1.435420942102845e-07, 6.16508600232471e-14),
+        0.795269307419093, 0.7952707287670506,
+    ),
+    -0.5: (
+        (5.123853377589656e-07, 4.592648943183806e-13,
+         3.6897450763104696e-25, 2.3815658062373288e-49),
+        0.41882168504198214, 0.4188216850419828,
+    ),
+    -0.0501039: (
+        (3.457822372658472e-13, 4.708062055967557e-25,
+         8.728129389648875e-49, 2.9997093052062184e-96),
+        0.18129151099641583, 0.18129151099641594,
+    ),
+    0.01: (
+        (8.341594504823163e-19, 5.878165190714389e-36,
+         2.9189537316958603e-70, 7.197771573100926e-139),
+        0.0847226525570509, 0.08472265255705101,
+    ),
+    15.8442: (
+        (2.1920969446959025e-11, 7.344875678426871e-22,
+         8.245819692639726e-43, 1.0392800814613276e-84),
+        0.22147274745534093, 0.2214727474553411,
+    ),
+    100.0: (
+        (4.922885732135722e-18, 3.4690652406770494e-35,
+         1.7226533452592582e-69, 4.247845775756967e-138),
+        0.0847226525570509, 0.08472265255705101,
+    ),
+    -1.0: (
+        (1.6190861620093935e-06, 4.1448605747358985e-12,
+         2.716375826258918e-23, 1.1666745337427031e-45),
+        0.4472135954999525, 0.4472135954999579,
+    ),
+}
+
+
+@pytest.mark.parametrize("omega", sorted(DECAY_GOLDEN))
+def test_residual_decay_reproduces_the_recorded_fits(omega):
+    residuals, fitted, predicted = DECAY_GOLDEN[omega]
+    for j in (1, 2, 3, 4):
+        fit = dw.residual_decay(omega, j)
+        assert fit.residuals == residuals, (omega, j)
+        # fitted_rate comes from np.polyfit, whose LAPACK kernel may differ in
+        # the last bit between CPUs: the same fit of the recorded residuals is
+        # exact on any machine, the recorded rate only to a few ulp
+        refit = math.exp(np.polyfit(fit.windows, np.log(residuals), 1)[0])
+        assert fit.fitted_rate == refit, (omega, j)
+        assert math.isclose(refit, fitted, rel_tol=1e-15), (omega, j)
+        assert fit.predicted_rate == predicted, (omega, j)
+
+
 def test_residual_decay_validation():
     with pytest.raises(ValueError):
         dw.residual_decay(2.0, 5)
