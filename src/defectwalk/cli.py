@@ -206,7 +206,8 @@ def cmd_simulate(args) -> int:
     traj = walk.evolve(state, args.omega, args.steps, keep_states=args.dump is not None)
     if traj.truncated:
         print(
-            "warning: light cone reached the window edge; steps past that are truncated",
+            f"warning: light cone passed the window edge at step {traj.truncated_from_step}; "
+            "that step and later ones are truncated",
             file=sys.stderr,
         )
     if args.dump is not None:

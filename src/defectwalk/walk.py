@@ -122,18 +122,36 @@ def coin(x: int, omega: float) -> np.ndarray:
     return omega * base if x == 0 else base
 
 
+def _stencil(src: np.ndarray, dst: np.ndarray, w: np.ndarray,
+             diff: np.ndarray, summ: np.ndarray) -> None:
+    """Shift-after-coin from the rows ``src`` into every entry of the rows
+    ``dst``, with coin weights ``w`` and scratch ``diff``, ``summ`` of the
+    same length; sources past either end of the rows count as zero."""
+    np.subtract(src[:, 0], src[:, 1], out=diff)
+    np.multiply(w, diff, out=diff)
+    np.true_divide(diff, _SQRT2, out=diff)
+    np.add(src[:, 0], src[:, 1], out=summ)
+    np.multiply(w, summ, out=summ)
+    np.true_divide(summ, _SQRT2, out=summ)
+    dst[:-1, 0] = diff[1:]
+    dst[-1, 0] = 0.0
+    dst[1:, 1] = summ[:-1]
+    dst[0, 1] = 0.0
+
+
+def _coin_weights(window: int, omega: float) -> np.ndarray:
+    w = np.ones(2 * window + 1)
+    w[window] = omega
+    return w
+
+
 def apply_U(state: WaveFunction, omega: float) -> WaveFunction:
     """One evolution step with Dirichlet truncation at the window edges."""
     omega = check_omega(omega)
-    n = state.window
-    w = np.ones(2 * n + 1)
-    w[n] = omega
-    diff = w * (state.amps[:, 0] - state.amps[:, 1]) / _SQRT2
-    summ = w * (state.amps[:, 0] + state.amps[:, 1]) / _SQRT2
-    out = np.zeros_like(state.amps)
-    out[:-1, 0] = diff[1:]
-    out[1:, 1] = summ[:-1]
-    return WaveFunction(n, out)
+    out = np.empty_like(state.amps)
+    scratch = np.empty((2, out.shape[0]), dtype=complex)
+    _stencil(state.amps, out, _coin_weights(state.window, omega), scratch[0], scratch[1])
+    return WaveFunction(state.window, out)
 
 
 def eigen_residual(
@@ -168,8 +186,9 @@ class Trajectory:
     window length is even (t = 1 keeps its window of 1); entry 0 is 1.0 by
     convention. ``origin_probs`` is origin weight / squared norm; note
     a delta start makes it exactly 0 at every odd step (sublattice parity).
-    ``truncated`` flags a light cone reaching the window edge, after which
-    steps are no longer exact.
+    ``truncated_from_step`` is the first step whose light cone passes the
+    window edge, from which on steps are no longer exact, or None when every
+    step is exact; ``truncated`` says whether there is one.
     """
 
     omega: float
@@ -180,10 +199,14 @@ class Trajectory:
     origin_weights: np.ndarray
     origin_probs: np.ndarray
     growth_running: np.ndarray
-    truncated: bool
+    truncated_from_step: int | None
     final_state: WaveFunction
     final_log_scale: float
     states: list[WaveFunction] = field(default_factory=list)
+
+    @property
+    def truncated(self) -> bool:
+        return self.truncated_from_step is not None
 
 
 def _running_growth(log_norms: np.ndarray, t: int) -> float:
@@ -209,20 +232,35 @@ def evolve(
     scale), so growing and shrinking runs are equally well conditioned. Only
     O(window) memory is used unless ``keep_states`` asks for the normalized
     per-step states. ``final_state`` is the normalized final state;
-    ``final_log_scale`` restores the original scale. A growing run whose
-    linear-scale columns would leave double range (origin_weight goes first,
-    at log-norm ~354.9) raises OverflowError naming omega, the step and the
-    log-norm there.
+    ``final_log_scale`` restores the original scale. A step whose norm leaves
+    double range (above sqrt(DBL_MAX) ~ 1.34e154 before renormalization)
+    raises OverflowError naming omega and the step, and so does a growing run
+    whose linear-scale columns would leave double range (origin_weight goes
+    first, at log-norm ~354.9), naming the log-norm there too. An initial
+    state whose norm leaves double range raises OverflowError as well.
+
+    Two buffers swap roles each step, and step t computes only the rows of
+    the light cone of the rows the initial state occupies. Every other row
+    holds +0, which the full-window stencil of ``apply_U`` writes there too,
+    and the norm is taken over the full window, so every result is the same
+    to the bit as stepping with ``apply_U``.
     """
     omega = check_omega(omega)
     steps = int(steps)
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps!r}")
-    nrm0 = state.norm()
+    with np.errstate(over="ignore"):  # an overflowing norm raises below
+        nrm0 = state.norm()
+    if not math.isfinite(nrm0):
+        raise OverflowError(
+            "the norm of the initial state leaves double range (above sqrt(DBL_MAX) ~ 1.34e154)"
+        )
     if nrm0 == 0.0:
         raise ValueError("initial state is identically zero")
+    n = state.window
     lo, hi = state.support_bounds()
-    truncated = hi + steps > state.window or lo - steps < -state.window
+    first_inexact = min(n - hi, n + lo) + 1
+    truncated_from_step = first_inexact if first_inexact <= steps else None
 
     log_norms = np.empty(steps + 1)
     origin_weights = np.empty(steps + 1)
@@ -231,6 +269,9 @@ def evolve(
 
     current = state.copy()
     current.amps /= nrm0
+    spare = WaveFunction(n, np.zeros_like(current.amps))
+    w = _coin_weights(n, omega)
+    scratch = np.empty((2, 2 * n + 1), dtype=complex)
     log_scale = math.log(nrm0)
     states: list[WaveFunction] = []
 
@@ -250,27 +291,42 @@ def evolve(
         if keep_states:
             states.append(current.copy())
 
+    # the cone starts from every row with a set bit, not from support_bounds():
+    # a row of signed zeros can seed a -0 that the full-window stencil carries
+    occupied = np.flatnonzero(current.amps.view(np.uint64).any(axis=1))
+    first, last = int(occupied[0]), int(occupied[-1])
     record(0)
-    for t in range(1, steps + 1):
-        current = apply_U(current, omega)
-        step_norm = current.norm()
-        if step_norm == 0.0:
-            raise ArithmeticError("state vanished during evolution")
-        current.amps /= step_norm
-        log_scale += math.log(step_norm)
-        record(t)
+    # an overflow or a NaN shows as a non-finite norm, which raises below
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(1, steps + 1):
+            first, last = max(first - 1, 0), min(last + 1, 2 * n)
+            cone = slice(first, last + 1)
+            _stencil(current.amps[cone], spare.amps[cone], w[cone], *scratch[:, cone])
+            step_norm = spare.norm()
+            if not math.isfinite(step_norm):
+                raise OverflowError(
+                    f"omega={omega!r}: the state leaves double range at step {t}: its "
+                    f"norm before renormalization is not finite (norms above "
+                    f"sqrt(DBL_MAX) ~ 1.34e154 overflow)"
+                )
+            if step_norm == 0.0:
+                raise ArithmeticError("state vanished during evolution")
+            spare.amps[cone] /= step_norm
+            log_scale += math.log(step_norm)
+            current, spare = spare, current
+            record(t)
 
     norms = np.exp(log_norms)
     return Trajectory(
         omega=float(omega),
-        window=state.window,
+        window=n,
         steps=steps,
         norms=norms,
         log_norms=log_norms,
         origin_weights=origin_weights,
         origin_probs=origin_probs,
         growth_running=growth,
-        truncated=truncated,
+        truncated_from_step=truncated_from_step,
         final_state=current,
         final_log_scale=log_scale,
         states=states,

@@ -84,6 +84,8 @@ def test_domain_errors_exit_2(tmp_path):
         ("eigvec", "--omega", "2", "--index", "5"),   # argparse choices
         ("eigvec", "--omega", "2", "--index", "1", "--window", "0"),
         ("simulate", "--omega", "0", "--steps", "5", "--window", "8"),
+        # the first step's norm, |omega|, squares past the largest double
+        ("simulate", "--omega", "1.4e154", "--steps", "1", "--window", "4"),
         # a root set-match tolerance that no gap can meet is a usage error,
         # not a failed validation
         *(("validate", "--suite", "roots", "--omega-grid", "2", "--tol", bad)
@@ -102,6 +104,15 @@ def test_domain_errors_exit_2(tmp_path):
     assert "omega=3.0" in proc.stderr and "step 1141" in proc.stderr
     assert "log-norm is 355.2" in proc.stderr
     assert not out.exists()
+    # so does a step whose norm overflows, without a numpy warning
+    dump = tmp_path / "dump.csv"
+    for steps in ("1", "3"):
+        proc = run_cli("simulate", "--omega", "1.4e154", "--steps", steps, "--window", "4",
+                       "--out", str(out), "--dump", str(dump))
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: omega=1.4e+154: ") and "step 1:" in proc.stderr
+        assert "Warning" not in proc.stderr
+        assert not out.exists() and not dump.exists()
 
 
 def test_output_is_byte_deterministic():
@@ -213,7 +224,7 @@ def test_simulate_csv_columns_and_values(capsys):
 def test_simulate_truncation_warning():
     proc = run_cli("simulate", "--omega", "2", "--steps", "30", "--window", "10")
     assert proc.returncode == 0
-    assert "window edge" in proc.stderr
+    assert "window edge at step 11;" in proc.stderr
     assert "# warning" in proc.stdout
     clean = run_cli("simulate", "--omega", "2", "--steps", "9", "--window", "10")
     assert clean.stderr == ""

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import defectwalk as dw
-from defectwalk.walk import CHIRALITIES
+from defectwalk.walk import CHIRALITIES, _running_growth
 
 SQRT2 = math.sqrt(2.0)
 
@@ -93,6 +93,25 @@ def test_apply_U_is_linear():
     assert np.max(np.abs(lhs - rhs)) <= 1e-14
 
 
+def test_apply_U_is_the_stencil_formula_to_the_bit():
+    # every pairing of signed zeros and signed values, whose zero signs a
+    # rewritten formula (say, times 1/sqrt2 instead of over sqrt2) can flip
+    parts = (0.0, -0.0, 0.5, -0.5)
+    values = [complex(a, b) for a in parts for b in parts]
+    amps = np.array([(a, b) for a in values for b in values][:-1], dtype=complex)
+    n = (len(amps) - 1) // 2
+    for omega in (2.0, -0.5):
+        w = np.ones(2 * n + 1)
+        w[n] = omega
+        diff = w * (amps[:, 0] - amps[:, 1]) / SQRT2
+        summ = w * (amps[:, 0] + amps[:, 1]) / SQRT2
+        want = np.zeros_like(amps)
+        want[:-1, 0] = diff[1:]
+        want[1:, 1] = summ[:-1]
+        got = dw.apply_U(dw.WaveFunction(n, amps), omega).amps
+        assert got.tobytes() == want.tobytes()
+
+
 def test_unitary_points_preserve_norm():
     for omega in (1.0, -1.0):
         psi = dw.delta_state(70, "symmetric")
@@ -142,6 +161,78 @@ def test_evolve_matches_manual_iteration():
         assert np.max(np.abs(kept - manual.amps)) <= 1e-12 * manual.norm()
     assert not traj.truncated
     assert traj.steps == 12
+
+
+def _reference_evolve(state, omega, steps):
+    """evolve's recurrence, stepped with the full-window apply_U."""
+    current = state.copy()
+    nrm0 = current.norm()
+    current.amps /= nrm0
+    log_scale = math.log(nrm0)
+    log_norms, weights, probs, states = [], [], [], []
+    for t in range(steps + 1):
+        if t:
+            current = dw.apply_U(current, omega)
+            step_norm = current.norm()
+            current.amps /= step_norm
+            log_scale += math.log(step_norm)
+        log_norms.append(log_scale)
+        probs.append(current.origin_weight())
+        weights.append(probs[-1] * math.exp(2.0 * log_scale))
+        states.append(current.copy())
+    log_norms = np.array(log_norms)
+    growth = [_running_growth(log_norms, t) for t in range(steps + 1)]
+    return log_norms, np.array(weights), np.array(probs), np.array(growth), states
+
+
+def _signed_zero_state():
+    # a row of signed zeros off the support seeds -0 entries under the stencil
+    amps = np.zeros((21, 2), dtype=complex)
+    amps[15] = (0.3, 0.2 - 0.4j)
+    amps[3, 0] = complex(-0.0, -0.0)
+    return dw.WaveFunction(10, amps)
+
+
+@pytest.mark.parametrize("omega, state, steps", [
+    (2.0, dw.delta_state(300, "up"), 40),             # window >> steps
+    (2.0, dw.delta_state(10, "up"), 25),              # the cone reaches the edge
+    (1.0, dw.delta_state(30, "symmetric"), 45),
+    (-1.0, dw.delta_state(30, "down"), 20),
+    (3.0, dw.delta_state(40, "symmetric"), 30),       # growing
+    (-0.5, dw.delta_state(40, "down"), 30),           # shrinking
+    (0.3, dw.delta_state(8, "up"), 12),
+    (-2.5, dw.eigenvector(-2.5, dw.eigenvalues(-2.5).by_index(2), 12), 20),
+    (-0.7, _signed_zero_state(), 14),
+    (2.0, dw.delta_state(5, "symmetric"), 0),
+])
+def test_evolve_is_bit_identical_to_full_window_steps(omega, state, steps):
+    # tobytes, not array_equal, so that -0 and +0 count as different
+    log_norms, weights, probs, growth, states = _reference_evolve(state, omega, steps)
+    traj = dw.evolve(state, omega, steps, keep_states=True)
+    assert traj.log_norms.tobytes() == log_norms.tobytes()
+    assert traj.origin_weights.tobytes() == weights.tobytes()
+    assert traj.origin_probs.tobytes() == probs.tobytes()
+    assert traj.growth_running.tobytes() == growth.tobytes()
+    assert traj.final_state.amps.tobytes() == states[-1].amps.tobytes()
+    assert len(traj.states) == steps + 1
+    for kept, want in zip(traj.states, states):
+        assert kept.amps.tobytes() == want.amps.tobytes()
+
+
+def test_evolve_names_a_step_norm_that_overflows():
+    # the first step from a delta start has norm |omega|, whose square
+    # overflows once |omega| > sqrt(DBL_MAX) ~ 1.34e154
+    with pytest.raises(OverflowError, match=r"omega=-1\.4e\+154: .* at step 1\b"):
+        dw.evolve(dw.delta_state(4, "up"), -1.4e154, 3)
+    # an amplitude that overflows (here to inf and NaN) fails the same way
+    amps = np.zeros((9, 2), dtype=complex)
+    amps[4] = (0.7, -0.7)
+    with pytest.raises(OverflowError, match=r"at step 1\b"):
+        dw.evolve(dw.WaveFunction(4, amps), 1.7e308, 1)
+    amps[4] = (1e200, 0.0)
+    with pytest.raises(OverflowError, match="initial state"):
+        dw.evolve(dw.WaveFunction(4, amps), 2.0, 0)
+    assert dw.evolve(dw.delta_state(4, "up"), 1.3e154, 1).norms[1] < math.inf
 
 
 def test_running_growth_definition():
@@ -194,9 +285,13 @@ def test_growth_rate_tracks_dominant_modulus():
 
 def test_truncation_flag():
     psi = dw.delta_state(10, "up")
-    assert not dw.evolve(psi, 2.0, 10).truncated
+    exact = dw.evolve(psi, 2.0, 10)
+    assert not exact.truncated and exact.truncated_from_step is None
     out = dw.evolve(psi, 2.0, 11)
-    assert out.truncated
+    assert out.truncated and out.truncated_from_step == 11
+    assert dw.evolve(psi, 2.0, 30).truncated_from_step == 11
+    # the side of the support nearer an edge reaches it first
+    assert dw.evolve(_signed_zero_state(), 2.0, 30).truncated_from_step == 6
 
 
 def test_evolve_rejects_zero_state_and_negative_steps():
