@@ -134,6 +134,10 @@ class RootScan:
         return [r.root for r in self.results]
 
 
+# the four endpoints e^{i k pi/4}, k = 1, 3, 5, 7, of the essential-spectrum arcs
+_ARC_ENDPOINTS = np.exp(1j * np.array([1, 3, 5, 7]) * np.pi / 4)
+
+
 def _distance_to_cut(lams: np.ndarray) -> np.ndarray:
     """Distance to the essential-spectrum arcs (imaginary axis handled
     separately by the real-part guard)."""
@@ -143,8 +147,7 @@ def _distance_to_cut(lams: np.ndarray) -> np.ndarray:
     in_arc = ((theta >= np.pi / 4) & (theta <= 3 * np.pi / 4)) | (
         (theta >= 5 * np.pi / 4) & (theta <= 7 * np.pi / 4)
     )
-    endpoints = np.exp(1j * np.array([1, 3, 5, 7]) * np.pi / 4)
-    d_end = np.min(np.abs(lams[..., None] - endpoints), axis=-1)
+    d_end = np.min(np.abs(lams[..., None] - _ARC_ENDPOINTS), axis=-1)
     return np.where(in_arc, np.abs(r - 1.0), d_end)
 
 
@@ -164,6 +167,9 @@ def _newton_pass(fvec, seeds: np.ndarray, side: int):
     Iterates that flip into the other half-plane or land within CUT_MARGIN of
     the branch cut are killed (the caller may restart them from perturbed
     seeds); steps are capped at STEP_CAP to stay inside the seed's basin.
+    Each iteration evaluates ``fvec`` on the live iterates only, neither
+    converged nor dead; every operation is elementwise, so each seed's
+    trajectory does not depend on which others are still live.
     """
     z = seeds.astype(complex)
     with np.errstate(all="ignore"):
@@ -172,27 +178,28 @@ def _newton_pass(fvec, seeds: np.ndarray, side: int):
         dead = ~np.isfinite(fz)
         iters = np.zeros(z.shape, dtype=int)
         for it in range(1, MAX_ITER + 1):
-            active = ~converged & ~dead
-            if not active.any():
+            live = np.flatnonzero(~converged & ~dead)
+            if live.size == 0:
                 break
-            deriv = (fvec(z + FD_STEP) - fvec(z - FD_STEP)) / (2.0 * FD_STEP)
+            z_live = z[live]
+            deriv = (fvec(z_live + FD_STEP) - fvec(z_live - FD_STEP)) / (2.0 * FD_STEP)
             bad = (deriv == 0) | ~np.isfinite(deriv)
-            step = np.where(bad, 0.0, fz / np.where(bad, 1.0, deriv))
+            step = np.where(bad, 0.0, fz[live] / np.where(bad, 1.0, deriv))
             mag = np.abs(step)
             scale = np.where(mag > STEP_CAP, STEP_CAP / np.where(mag == 0, 1.0, mag), 1.0)
-            z_try = z - step * scale
+            z_try = z_live - step * scale
             crossed = (np.sign(z_try.real) != side) | (np.abs(z_try) < 1e-8)
             near_cut = (_distance_to_cut(z_try) < CUT_MARGIN) | (
                 np.abs(z_try.real) < CUT_MARGIN
             )
-            dying = active & (bad | crossed | near_cut)
-            dead |= dying
-            moving = active & ~dying
-            z = np.where(moving, z_try, z)
-            fz = np.where(moving, fvec(z), fz)
-            newly = moving & (np.abs(fz) < NEWTON_TOL)
-            iters = np.where(newly, it, iters)
-            converged |= newly
+            dying = bad | crossed | near_cut
+            dead[live[dying]] = True
+            moving = live[~dying]
+            z[moving] = z_try[~dying]
+            fz[moving] = fvec(z[moving])
+            newly = moving[np.abs(fz[moving]) < NEWTON_TOL]
+            iters[newly] = it
+            converged[newly] = True
     return z, fz, converged, dead, iters
 
 
@@ -228,18 +235,24 @@ def _scan_half_plane(
     r_hi = max(SEED_R_MAX, abs(omega))
     ok = conv & (np.abs(z) >= r_lo) & (np.abs(z) <= r_hi)
     ok &= np.sign(z.real) == side
-    results: dict[tuple[int, int], RootFindResult] = {}
-    for root, res, it, seed in zip(z[ok], np.abs(fz[ok]), iters[ok], seeds[ok]):
-        key = (round(root.real / DEDUP), round(root.imag / DEDUP))
-        prev = results.get(key)
-        if prev is None or res < prev.residual:
-            results[key] = RootFindResult(
-                complex(root), float(res), int(it), complex(seed),
-                spectrum.classify(complex(root)),
-            )
+    # one representative per DEDUP cell, keyed by rounding half-even: the
+    # smallest residual, the first seed on a tie
+    idx = np.flatnonzero(ok)
+    roots, res = z[idx], np.abs(fz[idx])
+    key_re, key_im = np.rint(roots.real / DEDUP), np.rint(roots.imag / DEDUP)
+    order = np.lexsort((idx, res, key_im, key_re))
+    new_key = np.ones(order.size, dtype=bool)
+    new_key[1:] = (np.diff(key_re[order]) != 0) | (np.diff(key_im[order]) != 0)
+    results = [
+        RootFindResult(
+            complex(roots[j]), float(res[j]), int(iters[idx[j]]), complex(seeds[idx[j]]),
+            spectrum.classify(complex(roots[j])),
+        )
+        for j in order[new_key]
+    ]
     # merge representatives that straddle a rounding boundary
     merged: list[RootFindResult] = []
-    for cand in sorted(results.values(), key=lambda r: (r.root.real, r.root.imag)):
+    for cand in sorted(results, key=lambda r: (r.root.real, r.root.imag)):
         for i, kept in enumerate(merged):
             if abs(kept.root - cand.root) <= 2.0 * DEDUP:
                 if cand.residual < kept.residual:
@@ -393,7 +406,9 @@ class _DecayBuild:
     """The mpmath bound state of eigenvalue ``index`` on sites
     -largest..largest at the working precision, built once; the residual of
     every window n <= largest is taken on its slice, since each site's
-    amplitude is independent of the window."""
+    amplitude is independent of the window. So is each entry of
+    U psi - lambda psi whose source site lies inside the window: it is
+    computed once, at the build's precision, and kept for every window."""
 
     def __init__(self, omega: float, index: int, largest: int):
         self.om = mp.mpf(omega)
@@ -405,29 +420,39 @@ class _DecayBuild:
         )
         self.mid = largest
         self.predicted = float(min(abs(z_r), abs(z_l)))
+        self._left = [None] * len(self.rows)
+        self._right = [None] * len(self.rows)
+
+    def _left_entry(self, i: int):
+        """(U psi - lambda psi)_L in row i, stepped from row i + 1."""
+        entry = self._left[i]
+        if entry is None:
+            src_l, src_r = self.rows[i + 1]
+            w = self.om if i + 1 == self.mid else 1
+            entry = self._left[i] = w * (src_l - src_r) / self.r2 - self.lam * self.rows[i][0]
+        return entry
+
+    def _right_entry(self, i: int):
+        """(U psi - lambda psi)_R in row i, stepped from row i - 1."""
+        entry = self._right[i]
+        if entry is None:
+            src_l, src_r = self.rows[i - 1]
+            w = self.om if i - 1 == self.mid else 1
+            entry = self._right[i] = w * (src_l + src_r) / self.r2 - self.lam * self.rows[i][1]
+        return entry
 
     def residual(self, n: int):
-        """||U_n psi - lambda psi|| / ||psi|| on the window-n slice: each site
-        is stepped and compared with lambda psi in one pass, the sources
-        outside the window counting as zero."""
-        rows, om, lam, r2, mid = self.rows, self.om, self.lam, self.r2, self.mid
-        lo, hi = mid - n, mid + n
+        """||U_n psi - lambda psi|| / ||psi|| on the window-n slice, every
+        site's two entries in site order; the sources outside the window
+        count as zero, which leaves -lambda psi in the entries L at the
+        right edge and R at the left edge."""
+        rows, lam = self.rows, self.lam
+        lo, hi = self.mid - n, self.mid + n
 
         def terms():
             for i in range(lo, hi + 1):
-                amp_l, amp_r = rows[i]
-                if i < hi:  # L at x comes from site x + 1
-                    src_l, src_r = rows[i + 1]
-                    w = om if i + 1 == mid else 1
-                    yield w * (src_l - src_r) / r2 - lam * amp_l
-                else:
-                    yield -lam * amp_l
-                if i > lo:  # R at x comes from site x - 1
-                    src_l, src_r = rows[i - 1]
-                    w = om if i - 1 == mid else 1
-                    yield w * (src_l + src_r) / r2 - lam * amp_r
-                else:
-                    yield -lam * amp_r
+                yield self._left_entry(i) if i < hi else -lam * rows[i][0]
+                yield self._right_entry(i) if i > lo else -lam * rows[i][1]
 
         # squared norms: fsum squares the real and imaginary parts exactly and
         # rounds once, with no square root per entry
@@ -465,9 +490,10 @@ def residual_decay(
     falls short and the fit misses its bound rather than passing.
 
     The bound state is built once per precision, at the largest window, with
-    its tail powers as running products; every window is still stepped in
-    full on its slice of that build. The probe's build serves every window
-    when no more digits are needed.
+    its tail powers as running products. Each entry of U psi - lambda psi is
+    computed once per build, and each window's residual sums its own slice
+    of those entries. The probe's build serves every window when no more
+    digits are needed.
     """
     omega = check_omega(omega, exclude_one=True)
     if index not in (1, 2, 3, 4):

@@ -146,12 +146,24 @@ def _coin_weights(window: int, omega: float) -> np.ndarray:
 
 
 def apply_U(state: WaveFunction, omega: float) -> WaveFunction:
-    """One evolution step with Dirichlet truncation at the window edges."""
+    """One evolution step with Dirichlet truncation at the window edges.
+
+    A step whose amplitudes leave double range (an entry overflows to inf,
+    and to NaN after the division) raises OverflowError naming omega."""
     omega = check_omega(omega)
     out = np.empty_like(state.amps)
     scratch = np.empty((2, out.shape[0]), dtype=complex)
-    _stencil(state.amps, out, _coin_weights(state.window, omega), scratch[0], scratch[1])
-    return WaveFunction(state.window, out)
+    # an overflow fails WaveFunction's finiteness check, the only check the
+    # input's window and shape leave to fail
+    with np.errstate(over="ignore", invalid="ignore"):
+        _stencil(state.amps, out, _coin_weights(state.window, omega), scratch[0], scratch[1])
+    try:
+        return WaveFunction(state.window, out)
+    except ValueError:
+        raise OverflowError(
+            f"omega={omega!r}: the state leaves double range in one step: an "
+            f"amplitude is not finite"
+        ) from None
 
 
 def eigen_residual(

@@ -2,11 +2,13 @@ from __future__ import annotations
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import defectwalk as dw
+from defectwalk import oracle, spectrum
 
 from .conftest import OMEGA_GRID
 
@@ -103,6 +105,129 @@ def test_scan_finds_the_quadruple_across_the_domain(omega):
     assert len(scan.roots) == 4, scan.roots
     for lam in closed:
         assert min(abs(root - lam) for root in scan.roots) <= 1e-8
+
+
+# The scan steps only the live iterates and picks one representative per
+# DEDUP cell with one sort. Below are the full-array Newton pass and the dict
+# dedup it replaced, kept as the reference: every iterate, root and seed
+# count must come out the same to the bit.
+
+def _scan_fvec(omega, side):
+    family = dw.Family.PLUS if side > 0 else dw.Family.MINUS
+
+    def fvec(z):
+        kappa = spectrum._bulk(z, spectrum._branch_sqrt, oracle._SQRT2)[2]
+        p = spectrum._det_parameter(z, omega, kappa, family)
+        return spectrum._closed_det(p, oracle._SQRT2, family)
+
+    return fvec
+
+
+def _reference_newton_pass(fvec, seeds, side):
+    z = seeds.astype(complex)
+    with np.errstate(all="ignore"):
+        fz = fvec(z)
+        converged = np.abs(fz) < oracle.NEWTON_TOL
+        dead = ~np.isfinite(fz)
+        iters = np.zeros(z.shape, dtype=int)
+        for it in range(1, oracle.MAX_ITER + 1):
+            active = ~converged & ~dead
+            if not active.any():
+                break
+            deriv = (fvec(z + oracle.FD_STEP) - fvec(z - oracle.FD_STEP)) / (2.0 * oracle.FD_STEP)
+            bad = (deriv == 0) | ~np.isfinite(deriv)
+            step = np.where(bad, 0.0, fz / np.where(bad, 1.0, deriv))
+            mag = np.abs(step)
+            scale = np.where(
+                mag > oracle.STEP_CAP, oracle.STEP_CAP / np.where(mag == 0, 1.0, mag), 1.0
+            )
+            z_try = z - step * scale
+            crossed = (np.sign(z_try.real) != side) | (np.abs(z_try) < 1e-8)
+            near_cut = (oracle._distance_to_cut(z_try) < oracle.CUT_MARGIN) | (
+                np.abs(z_try.real) < oracle.CUT_MARGIN
+            )
+            dying = active & (bad | crossed | near_cut)
+            dead |= dying
+            moving = active & ~dying
+            z = np.where(moving, z_try, z)
+            fz = np.where(moving, fvec(z), fz)
+            newly = moving & (np.abs(fz) < oracle.NEWTON_TOL)
+            iters = np.where(newly, it, iters)
+            converged |= newly
+    return z, fz, converged, dead, iters
+
+
+def _reference_scan_half_plane(omega, side):
+    fvec = _scan_fvec(omega, side)
+    seeds = oracle._half_plane_seeds(oracle.SEED_GRID, side)
+    z, fz, conv, dead, iters = _reference_newton_pass(fvec, seeds, side)
+    retry = dead & ~conv
+    if retry.any():
+        seeds2 = seeds[retry] + side * 0.5 * oracle.SEED_MARGIN * (1.0 + 0.7j)
+        z2, fz2, conv2, _, iters2 = _reference_newton_pass(fvec, seeds2, side)
+        z = np.concatenate([z, z2])
+        fz = np.concatenate([fz, fz2])
+        conv = np.concatenate([conv, conv2])
+        iters = np.concatenate([iters, iters2])
+        seeds = np.concatenate([seeds, seeds2])
+    ok = conv & (np.abs(z) >= min(oracle.SEED_R_MIN, abs(omega)))
+    ok &= (np.abs(z) <= max(oracle.SEED_R_MAX, abs(omega))) & (np.sign(z.real) == side)
+    results = {}
+    for root, res, it, seed in zip(z[ok], np.abs(fz[ok]), iters[ok], seeds[ok]):
+        key = (round(root.real / oracle.DEDUP), round(root.imag / oracle.DEDUP))
+        prev = results.get(key)
+        if prev is None or res < prev.residual:
+            results[key] = oracle.RootFindResult(
+                complex(root), float(res), int(it), complex(seed), dw.classify(complex(root)),
+            )
+    merged = []
+    for cand in sorted(results.values(), key=lambda r: (r.root.real, r.root.imag)):
+        for i, kept in enumerate(merged):
+            if abs(kept.root - cand.root) <= 2.0 * oracle.DEDUP:
+                if cand.residual < kept.residual:
+                    merged[i] = cand
+                break
+        else:
+            merged.append(cand)
+    return merged, len(seeds), int(np.count_nonzero(conv))
+
+
+# 2: every seed converges; -0.01: seeds die and are restarted; 0.9: seeds
+# that never converge; 0.999: no roots at all; 100: roots beyond the seeds
+SCAN_GUARD_OMEGAS = (2.0, -0.01, 0.9, 0.999, 100.0)
+
+
+@pytest.mark.parametrize("omega", SCAN_GUARD_OMEGAS)
+def test_newton_pass_steps_each_seed_as_the_full_array_pass(omega):
+    for side in (1, -1):
+        fvec = _scan_fvec(omega, side)
+        seeds = oracle._half_plane_seeds(oracle.SEED_GRID, side)
+        want = _reference_newton_pass(fvec, seeds, side)
+        got = oracle._newton_pass(fvec, seeds, side)
+        for name, a, b in zip(("z", "fz", "converged", "dead", "iters"), got, want):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (omega, side, name)
+        retry = want[3] & ~want[2]
+        if retry.any():
+            seeds2 = seeds[retry] + side * 0.5 * oracle.SEED_MARGIN * (1.0 + 0.7j)
+            want2 = _reference_newton_pass(fvec, seeds2, side)
+            got2 = oracle._newton_pass(fvec, seeds2, side)
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(got2, want2)), (omega, side)
+
+
+@pytest.mark.parametrize("omega", SCAN_GUARD_OMEGAS)
+def test_scan_matches_the_full_array_scan_with_dict_dedup(omega):
+    scan = dw.find_eigenvalues_numeric(omega)
+    results, attempted, converged = [], 0, 0
+    for side in (1, -1):
+        part, n_a, n_c = _reference_scan_half_plane(omega, side)
+        results.extend(part)
+        attempted += n_a
+        converged += n_c
+    results.sort(key=lambda r: math.atan2(r.root.imag, r.root.real) % (2.0 * math.pi))
+    assert scan.results == results
+    assert (scan.seeds_attempted, scan.seeds_converged, scan.seeds_failed) == (
+        attempted, converged, attempted - converged,
+    )
 
 
 @given(st.floats(min_value=-8.0, max_value=8.0), st.sampled_from((1.0, -1.0)))
@@ -244,6 +369,45 @@ def test_residual_decay_reproduces_the_recorded_fits(omega):
         assert fit.fitted_rate == refit, (omega, j)
         assert math.isclose(refit, fitted, rel_tol=1e-15), (omega, j)
         assert fit.predicted_rate == predicted, (omega, j)
+
+
+def _reference_window_residual(build, n):
+    """A window's residual stepped in full on its slice of ``build``, every
+    entry of U psi - lambda psi computed afresh."""
+    rows, om, lam, r2, mid = build.rows, build.om, build.lam, build.r2, build.mid
+    lo, hi = mid - n, mid + n
+
+    def terms():
+        for i in range(lo, hi + 1):
+            amp_l, amp_r = rows[i]
+            if i < hi:
+                src_l, src_r = rows[i + 1]
+                w = om if i + 1 == mid else 1
+                yield w * (src_l - src_r) / r2 - lam * amp_l
+            else:
+                yield -lam * amp_l
+            if i > lo:
+                src_l, src_r = rows[i - 1]
+                w = om if i - 1 == mid else 1
+                yield w * (src_l + src_r) / r2 - lam * amp_r
+            else:
+                yield -lam * amp_r
+
+    amps = (c for row in rows[lo : hi + 1] for c in row)
+    res2 = mp.fsum(terms(), absolute=True, squared=True)
+    return mp.sqrt(res2 / mp.fsum(amps, absolute=True, squared=True))
+
+
+def test_decay_build_residual_is_the_full_window_residual_to_the_bit():
+    # the entries are kept per build: a window may not reuse another's edge
+    # entry (-lambda psi) as an interior one, nor a build at one precision
+    # the entries of a build at another; residual_decay's windows in its
+    # order, then smaller windows after larger ones
+    for dps in (80, 160):
+        with mp.workdps(dps):
+            build = oracle._DecayBuild(-0.5, 2, 128)
+            for n in (16, 32, 64, 128, 127, 48, 17):
+                assert build.residual(n) == _reference_window_residual(build, n), (dps, n)
 
 
 def test_residual_decay_validation():

@@ -144,6 +144,20 @@ def test_eigen_residual_interior_vs_full():
     assert full24 / full == pytest.approx(abs(zr) ** 4, rel=0.1)
 
 
+def test_apply_U_names_a_step_that_overflows():
+    # omega (0.7 + 0.7) overflows to inf, and to NaN after the division by
+    # sqrt2; no numpy warning may leak (RuntimeWarnings fail the suite)
+    amps = np.zeros((9, 2), dtype=complex)
+    amps[4] = (0.7, -0.7)
+    psi = dw.WaveFunction(4, amps)
+    with pytest.raises(OverflowError, match=r"omega=1\.7e\+308: .* double range"):
+        dw.apply_U(psi, 1.7e308)
+    with pytest.raises(OverflowError, match=r"omega=1\.7e\+308: "):
+        dw.eigen_residual(psi, 1.7e308, 1.0)
+    # 1.2e308 * 1.4 stays below DBL_MAX ~ 1.8e308
+    assert np.isfinite(dw.apply_U(psi, 1.2e308).amps).all()
+
+
 # --- trajectories ---------------------------------------------------------------
 
 def test_evolve_matches_manual_iteration():
