@@ -4,11 +4,24 @@ Subcommands: spectrum (closed-form eigenvalue table), eigvec (bound-state
 export), simulate (truncated-lattice evolution), validate (oracle suites with
 pass/fail report), figure (SVG + CSV of the spectral picture).
 
-Exit codes: 0 success, 1 validation failure, 2 usage or domain error. Output
-is deterministic: no timestamps, metadata in '#'-prefixed lines, numbers with
-17 significant digits in CSV and exact round-trip floats in JSON. The
-DEFECTWALK_TOL environment variable overrides the default membership
-tolerances; --tol (where accepted) takes precedence over it.
+Exit codes: 0 success, 1 validation failure, 2 usage or domain error.
+
+Output is deterministic, with no timestamps. Every table goes through one
+writer, ``write_table``, in one of two formats:
+
+- JSON: one object, ``{"command", "version", ...}``, keys sorted, indented by
+  two, floats as exact round-trip reprs, with the table as a list of records.
+- CSV: a ``# defectwalk <version> <command>`` line, metadata as
+  ``# key = value`` lines, the column row, one line per row, and trailing
+  ``#`` comments (``# key = value`` lines or a warning). Floats have 17
+  significant digits, booleans are ``true``/``false``, and a missing value is
+  an empty cell.
+
+``simulate --dump`` formats the per-step states one step at a time after the
+run completes, so writing it takes O(window) memory on top of the run, and a
+run that fails writes nothing. The DEFECTWALK_TOL environment variable
+overrides the default membership tolerances; ``spectrum --tol`` takes
+precedence over it.
 
 Each command imports the modules it runs, so that --version and usage
 errors load neither numpy nor mpmath, and only validate loads mpmath.
@@ -17,15 +30,18 @@ errors load neither numpy nor mpmath, and only validate loads mpmath.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
 import sys
+from collections.abc import Sequence
+from itertools import chain, repeat
 
 from . import __version__
-from .config import Tolerances
+from .config import Tolerances, check_tolerance
 
-__all__ = ["main", "entrypoint", "read_eigvec_csv"]
+__all__ = ["main", "entrypoint", "read_eigvec_csv", "write_table"]
 
 DEFAULT_OMEGA_GRID = (-3.0, -2.0, -1.0, -0.5, 0.5, 0.9, 1.5, 2.0, 3.0)
 VALIDATE_SUITES = ("highprec", "roots", "residual", "decay")
@@ -40,28 +56,45 @@ DECAY_RATE_RTOL = 0.10
 ROOT_MATCH_TOL = 1e-8
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+def _cell(value) -> str:
+    if isinstance(value, float):
+        return format(value, ".17g")
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return "" if value is None else str(value)
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out in (None, "-"):
-        sys.stdout.write(text)
-    else:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+def meta(**pairs) -> list[str]:
+    """``key = value`` metadata lines, values formatted as CSV cells."""
+    return [f"{key} = {_cell(value)}" for key, value in pairs.items()]
 
 
-def _json_dumps(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+def write_table(out: str | None, fmt: str, command: str, columns: dict, *,
+                key: str | None = None, fields: dict | None = None,
+                head: Sequence[str] = (), tail: Sequence[str] = ()) -> None:
+    """Write one table to the file ``out``, or to stdout if it is None.
 
-
-def _tolerances(args) -> Tolerances:
-    tol = Tolerances.from_env()
-    value = getattr(args, "tol", None)
-    if value is not None:
-        tol = tol.with_equality_tol(value)
-    return tol
+    ``columns`` maps each column name to its values, all of one length; they
+    are read once, row by row, so they may be lazy iterables. ``fmt`` "json"
+    writes ``{"command", "version", **fields}``, plus the rows as records
+    under ``key`` if one is given. ``fmt`` "csv" writes the header line, the
+    ``head`` lines as comments, the column row, each row as soon as it is
+    formatted, and the ``tail`` lines as comments.
+    """
+    rows = zip(*columns.values())
+    with (contextlib.nullcontext(sys.stdout) if out is None
+          else open(out, "w", encoding="utf-8")) as fh:
+        if fmt == "json":
+            payload = {"command": command, "version": __version__, **(fields or {})}
+            if key is not None:
+                payload[key] = [dict(zip(columns, row)) for row in rows]
+            fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+            return
+        fh.write(f"# defectwalk {__version__} {command}\n")
+        fh.writelines(f"# {line}\n" for line in head)
+        fh.write(",".join(columns) + "\n")
+        fh.writelines(",".join(map(_cell, row)) + "\n" for row in rows)
+        fh.writelines(f"# {line}\n" for line in tail)
 
 
 # ---------------------------------------------------------------------------
@@ -70,39 +103,21 @@ def _tolerances(args) -> Tolerances:
 def cmd_spectrum(args) -> int:
     from . import spectrum
 
-    tol = _tolerances(args)
+    tol = Tolerances.from_env()
+    if args.tol is not None:
+        tol = tol.with_equality_tol(args.tol)
     quad = spectrum.eigenvalues(args.omega)
-    entries = []
-    for j, lam in enumerate(quad, start=1):
-        entries.append(
-            {
-                "index": j,
-                "re": float(lam.real),
-                "im": float(lam.imag),
-                "modulus": float(abs(lam)),
-                "region": spectrum.classify(lam, tol).value,
-            }
-        )
-    if args.format == "json":
-        payload = {
-            "command": "spectrum",
-            "version": __version__,
-            "omega": float(args.omega),
-            "eigenvalues": entries,
-        }
-        _emit(_json_dumps(payload), args.out)
-    else:
-        lines = [
-            f"# defectwalk {__version__} spectrum",
-            f"# omega = {_fmt(args.omega)}",
-            "index,re,im,modulus,region",
-        ]
-        for e in entries:
-            lines.append(
-                f"{e['index']},{_fmt(e['re'])},{_fmt(e['im'])},"
-                f"{_fmt(e['modulus'])},{e['region']}"
-            )
-        _emit("\n".join(lines) + "\n", args.out)
+    write_table(
+        args.out, args.format, "spectrum",
+        {
+            "index": [1, 2, 3, 4],
+            "re": [float(lam.real) for lam in quad],
+            "im": [float(lam.imag) for lam in quad],
+            "modulus": [float(abs(lam)) for lam in quad],
+            "region": [spectrum.classify(lam, tol).value for lam in quad],
+        },
+        key="eigenvalues", fields={"omega": float(args.omega)}, head=meta(omega=args.omega),
+    )
     return 0
 
 
@@ -112,49 +127,25 @@ def cmd_spectrum(args) -> int:
 def cmd_eigvec(args) -> int:
     from . import spectrum, walk
 
-    tol = _tolerances(args)
-    quad = spectrum.eigenvalues(args.omega)
-    lam = quad.by_index(args.index)
-    state = spectrum.eigenvector(args.omega, lam, args.window, tol)
-    residual = walk.eigen_residual(state, args.omega, lam, interior_only=True)
-    if args.format == "json":
-        payload = {
-            "command": "eigvec",
-            "version": __version__,
+    lam = spectrum.eigenvalues(args.omega).by_index(args.index)
+    state = spectrum.eigenvector(args.omega, lam, args.window)
+    residual = float(walk.eigen_residual(state, args.omega, lam, interior_only=True))
+    re_l, im_l, re_r, im_r = state.amps.view(float).T.tolist()
+    write_table(
+        args.out, args.format, "eigvec",
+        {"x": state.sites(), "reL": re_l, "imL": im_l, "reR": re_r, "imR": im_r},
+        key="amplitudes",
+        fields={
             "omega": float(args.omega),
             "index": int(args.index),
             "window": int(args.window),
             "eigenvalue": {"re": float(lam.real), "im": float(lam.imag)},
-            "amplitudes": [
-                {
-                    "x": x,
-                    "reL": float(state.amps[x + state.window, 0].real),
-                    "imL": float(state.amps[x + state.window, 0].imag),
-                    "reR": float(state.amps[x + state.window, 1].real),
-                    "imR": float(state.amps[x + state.window, 1].imag),
-                }
-                for x in state.sites()
-            ],
-            "interior_residual": float(residual),
-        }
-        _emit(_json_dumps(payload), args.out)
-    else:
-        lines = [
-            f"# defectwalk {__version__} eigvec",
-            f"# omega = {_fmt(args.omega)}",
-            f"# index = {args.index}",
-            f"# window = {args.window}",
-            f"# eigenvalue_re = {_fmt(lam.real)}",
-            f"# eigenvalue_im = {_fmt(lam.imag)}",
-            "x,reL,imL,reR,imR",
-        ]
-        for x in state.sites():
-            l, r = state.site(x)
-            lines.append(
-                f"{x},{_fmt(l.real)},{_fmt(l.imag)},{_fmt(r.real)},{_fmt(r.imag)}"
-            )
-        lines.append(f"# interior_residual = {_fmt(residual)}")
-        _emit("\n".join(lines) + "\n", args.out)
+            "interior_residual": residual,
+        },
+        head=meta(omega=args.omega, index=args.index, window=args.window,
+                  eigenvalue_re=lam.real, eigenvalue_im=lam.imag),
+        tail=meta(interior_residual=residual),
+    )
     return 0
 
 
@@ -212,63 +203,55 @@ def cmd_simulate(args) -> int:
         )
     if args.dump is not None:
         _dump_states(args.dump, traj)
-    rows = [
+    write_table(
+        args.out, args.format, "simulate",
         {
-            "t": t,
-            "norm": float(traj.norms[t]),
-            "origin_weight": float(traj.origin_weights[t]),
-            "origin_prob_normalized": float(traj.origin_probs[t]),
-            "growth_rate_running": float(traj.growth_running[t]),
-        }
-        for t in range(traj.steps + 1)
-    ]
-    if args.format == "json":
-        payload = {
-            "command": "simulate",
-            "version": __version__,
+            "t": range(traj.steps + 1),
+            "norm": traj.norms.tolist(),
+            "origin_weight": traj.origin_weights.tolist(),
+            "origin_prob_normalized": traj.origin_probs.tolist(),
+            "growth_rate_running": traj.growth_running.tolist(),
+        },
+        key="rows",
+        fields={
             "omega": float(args.omega),
             "steps": int(args.steps),
             "window": int(args.window),
             "initial": args.initial,
             "truncated": bool(traj.truncated),
-            "rows": rows,
-        }
-        _emit(_json_dumps(payload), args.out)
-    else:
-        lines = [
-            f"# defectwalk {__version__} simulate",
-            f"# omega = {_fmt(args.omega)}",
-            f"# steps = {args.steps}",
-            f"# window = {args.window}",
-            f"# initial = {args.initial}",
-            "t,norm,origin_weight,origin_prob_normalized,growth_rate_running",
-        ]
-        for r in rows:
-            lines.append(
-                f"{r['t']},{_fmt(r['norm'])},{_fmt(r['origin_weight'])},"
-                f"{_fmt(r['origin_prob_normalized'])},{_fmt(r['growth_rate_running'])}"
-            )
-        if traj.truncated:
-            lines.append("# warning: light cone reached the window edge")
-        _emit("\n".join(lines) + "\n", args.out)
+        },
+        head=meta(omega=args.omega, steps=args.steps, window=args.window,
+                  initial=args.initial),
+        tail=["warning: light cone reached the window edge"] if traj.truncated else [],
+    )
     return 0
 
 
 def _dump_states(path: str, traj: walk.Trajectory) -> None:
-    """Full per-step normalized states; scale restored via the log-norm column."""
-    lines = [
-        f"# defectwalk {__version__} simulate dump",
-        "t,log_norm,x,reL,imL,reR,imR",
-    ]
-    for t, st in enumerate(traj.states):
-        for x in st.sites():
-            l, r = st.site(x)
-            lines.append(
-                f"{t},{_fmt(traj.log_norms[t])},{x},"
-                f"{_fmt(l.real)},{_fmt(l.imag)},{_fmt(r.real)},{_fmt(r.imag)}"
-            )
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    """Full per-step normalized states; scale restored via the log-norm column.
+
+    Each step's rows are formatted from that step's state alone, so the dump
+    takes O(window) memory on top of the trajectory."""
+    sites = range(-traj.window, traj.window + 1)
+
+    def per_step(values):
+        return chain.from_iterable(repeat(v, len(sites)) for v in values)
+
+    def amps(part):  # 0, 1, 2, 3: reL, imL, reR, imR
+        return chain.from_iterable(s.amps.view(float)[:, part].tolist() for s in traj.states)
+
+    write_table(
+        path, "csv", "simulate dump",
+        {
+            "t": per_step(range(len(traj.states))),
+            "log_norm": per_step(traj.log_norms.tolist()),
+            "x": chain.from_iterable(repeat(sites, len(traj.states))),
+            "reL": amps(0),
+            "imL": amps(1),
+            "reR": amps(2),
+            "imR": amps(3),
+        },
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -328,9 +311,7 @@ def _validate_omega(omega: float, suites: tuple[str, ...], match_tol: float,
 def cmd_validate(args) -> int:
     suites = VALIDATE_SUITES if args.suite == "all" else (args.suite,)
     grid = tuple(args.omega_grid) if args.omega_grid else DEFAULT_OMEGA_GRID
-    match_tol = args.tol if args.tol is not None else ROOT_MATCH_TOL
-    if not (math.isfinite(match_tol) and match_tol > 0):
-        raise ValueError(f"--tol must be a finite positive number, got {match_tol!r}")
+    match_tol = ROOT_MATCH_TOL if args.tol is None else check_tolerance(args.tol, "--tol")
     results = []
     for omega in grid:
         checks = _validate_omega(omega, suites, match_tol, args.seed_grid)
@@ -342,29 +323,24 @@ def cmd_validate(args) -> int:
             }
         )
     all_passed = all(r["passed"] for r in results)
-    if args.format == "json":
-        payload = {
-            "command": "validate",
-            "version": __version__,
+    flat = [(r["omega"], c) for r in results for c in r["checks"]]
+    write_table(
+        args.out, args.format, "validate",
+        {
+            "omega": [omega for omega, _ in flat],
+            "check": [c["name"] for _, c in flat],
+            "passed": [c["passed"] for _, c in flat],
+            "error": [c["error"] for _, c in flat],
+        },
+        fields={
             "suites": list(suites),
             "omega_grid": [float(o) for o in grid],
             "results": results,
             "all_passed": all_passed,
-        }
-        _emit(_json_dumps(payload), args.out)
-    else:
-        lines = [
-            f"# defectwalk {__version__} validate",
-            f"# suites = {'+'.join(suites)}",
-            "omega,check,passed,error",
-        ]
-        for r in results:
-            for c in r["checks"]:
-                lines.append(
-                    f"{_fmt(r['omega'])},{c['name']},{str(c['passed']).lower()},{_fmt(c['error'])}"
-                )
-        lines.append(f"# all_passed = {str(all_passed).lower()}")
-        _emit("\n".join(lines) + "\n", args.out)
+        },
+        head=meta(suites="+".join(suites)),
+        tail=meta(all_passed=all_passed),
+    )
     return 0 if all_passed else 1
 
 
@@ -385,8 +361,7 @@ def cmd_figure(args) -> int:
     rows = figure.figure_rows(cfg)
     with open(svg_path, "w", encoding="utf-8") as fh:
         fh.write(figure.render_svg(rows, cfg))
-    with open(csv_path, "w", encoding="utf-8") as fh:
-        fh.write(figure.rows_to_csv(rows, cfg, __version__))
+    figure.rows_to_csv(rows, cfg, csv_path)
     return 0
 
 
@@ -403,6 +378,11 @@ def _omega_grid_type(text: str) -> list[float]:
     return values
 
 
+def _out_path(text: str) -> str | None:
+    """An --out path; "-" is stdout, which the writer takes as None."""
+    return None if text == "-" else text
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="defectwalk",
@@ -414,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("spectrum", help="closed-form eigenvalue quadruple")
     sp.add_argument("--omega", type=float, required=True)
     sp.add_argument("--format", choices=("json", "csv"), default="json")
-    sp.add_argument("--out", default=None)
+    sp.add_argument("--out", type=_out_path, default=None)
     sp.add_argument("--tol", type=float, default=None)
     sp.set_defaults(func=cmd_spectrum)
 
@@ -423,8 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--index", type=int, required=True, choices=(1, 2, 3, 4))
     ev.add_argument("--window", type=int, default=32)
     ev.add_argument("--format", choices=("json", "csv"), default="csv")
-    ev.add_argument("--out", default=None)
-    ev.add_argument("--tol", type=float, default=None)
+    ev.add_argument("--out", type=_out_path, default=None)
     ev.set_defaults(func=cmd_eigvec)
 
     sim = sub.add_parser("simulate", help="evolve a delta start on a finite window")
@@ -433,7 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--window", type=int, required=True)
     sim.add_argument("--initial", choices=sorted(INITIAL_CHOICES), default="origin-up")
     sim.add_argument("--format", choices=("json", "csv"), default="csv")
-    sim.add_argument("--out", default=None)
+    sim.add_argument("--out", type=_out_path, default=None)
     sim.add_argument("--dump", default=None, help="write per-step states to this path")
     sim.set_defaults(func=cmd_simulate)
 
@@ -445,7 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
     va.add_argument("--seed-grid", type=int, default=None,
                     help="Newton seed grid resolution per axis")
     va.add_argument("--format", choices=("json", "csv"), default="json")
-    va.add_argument("--out", default=None)
+    va.add_argument("--out", type=_out_path, default=None)
     va.set_defaults(func=cmd_validate)
 
     fig = sub.add_parser("figure", help="SVG + CSV of circle, arcs, loci, markers")

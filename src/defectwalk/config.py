@@ -33,6 +33,14 @@ def check_omega(omega: float, *, exclude_one: bool = False) -> float:
     return omega
 
 
+def check_tolerance(value: float, name: str = "tolerance") -> float:
+    """A tolerance as a float, rejected unless finite and positive."""
+    value = float(value)
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be a finite positive number, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class Tolerances:
     """Tolerance bundle.
@@ -50,8 +58,7 @@ class Tolerances:
     def with_equality_tol(self, value: float) -> "Tolerances":
         """Override the membership knobs (circle, angle) together;
         eig_match stays put."""
-        if not value > 0:
-            raise ValueError(f"tolerance must be positive, got {value!r}")
+        value = check_tolerance(value)
         return replace(self, circle=value, angle=value)
 
     @classmethod

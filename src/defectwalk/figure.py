@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+from .cli import meta, write_table
 from .spectrum import eigenvalues, essential_spectrum_arcs
 
 __all__ = ["FigureConfig", "FigureRow", "figure_rows", "render_svg", "rows_to_csv"]
@@ -93,21 +94,20 @@ def figure_rows(cfg: FigureConfig | None = None) -> list[FigureRow]:
     return rows
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
-def rows_to_csv(rows: list[FigureRow], cfg: FigureConfig, version: str) -> str:
-    lines = [
-        f"# defectwalk {version} figure",
-        f"# omega_min = {_fmt(cfg.omega_min)}, omega_max = {_fmt(cfg.omega_max)}, "
-        f"samples = {cfg.samples}",
-        "series,omega,index,re,im",
-    ]
-    for r in rows:
-        om = "" if r.omega is None else _fmt(r.omega)
-        lines.append(f"{r.series},{om},{r.index},{_fmt(r.re)},{_fmt(r.im)}")
-    return "\n".join(lines) + "\n"
+def rows_to_csv(rows: list[FigureRow], cfg: FigureConfig, out: str) -> None:
+    """Write the row table as CSV to the file ``out``."""
+    write_table(
+        out, "csv", "figure",
+        {
+            "series": [r.series for r in rows],
+            "omega": [r.omega for r in rows],
+            "index": [r.index for r in rows],
+            "re": [r.re for r in rows],
+            "im": [r.im for r in rows],
+        },
+        head=[", ".join(meta(omega_min=cfg.omega_min, omega_max=cfg.omega_max,
+                             samples=cfg.samples))],
+    )
 
 
 def _polyline(points: list[tuple[float, float]], style: str) -> str:

@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -126,6 +127,72 @@ def test_output_is_byte_deterministic():
         assert first == second, args
 
 
+def _records(payload: dict) -> list[dict]:
+    """The JSON table a command's CSV rows carry, one record per row."""
+    if payload["command"] == "validate":
+        return [{"omega": r["omega"], "check": c["name"], "passed": c["passed"],
+                 "error": c["error"]} for r in payload["results"] for c in r["checks"]]
+    key = {"spectrum": "eigenvalues", "eigvec": "amplitudes", "simulate": "rows"}
+    return payload[key[payload["command"]]]
+
+
+def _scalars(payload: dict, prefix: str = "") -> dict:
+    """Top-level JSON values by CSV metadata key: nested keys joined by '_',
+    lists of names joined by '+'."""
+    out = {}
+    for key, value in payload.items():
+        if isinstance(value, dict):
+            out.update(_scalars(value, f"{prefix}{key}_"))
+        elif isinstance(value, list):
+            if all(isinstance(v, str) for v in value):
+                out[prefix + key] = "+".join(value)
+        else:
+            out[prefix + key] = value
+    return out
+
+
+def _cell_is(cell: str, value) -> bool:
+    """Whether a CSV cell reads back as exactly this JSON value."""
+    if value is None:
+        return cell == ""
+    if isinstance(value, bool):
+        return cell == ("true" if value else "false")
+    return repr(type(value)(cell)) == repr(value)  # repr tells -0.0 from 0.0
+
+
+@pytest.mark.parametrize("args", [
+    *(("spectrum", "--omega", om) for om in ("2", "-0.5")),
+    *(("eigvec", "--omega", om, "--index", "3", "--window", "6") for om in ("2", "-0.5")),
+    *(("simulate", "--omega", om, "--steps", "12", "--window", "16") for om in ("2", "-0.5")),
+    ("simulate", "--omega", "1.5", "--steps", "12", "--window", "5"),  # truncated
+    ("validate", "--omega-grid", "2,-0.5", "--suite", "highprec"),
+])
+def test_csv_and_json_carry_the_same_table(args, capsys):
+    rc = cli.main([*args, "--format", "json"])
+    payload = json.loads(capsys.readouterr().out)
+    assert cli.main([*args, "--format", "csv"]) == rc == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == f"# defectwalk {dw.__version__} {args[0]}"
+    body = [i for i, ln in enumerate(lines) if not ln.startswith("#")]
+    columns, rows = lines[body[0]].split(","), [lines[i].split(",") for i in body[1:]]
+    assert body == list(range(body[0], body[-1] + 1))  # comments only around the table
+    records = _records(payload)
+    assert len(rows) == len(records) > 0
+    for row, record in zip(rows, records):
+        assert sorted(columns) == sorted(record)
+        for name, cell in zip(columns, row, strict=True):
+            assert _cell_is(cell, record[name]), (name, cell, record[name])
+    scalars = _scalars(payload)
+    comments = [ln[2:] for ln in lines[1:body[0]] + lines[body[-1] + 1:]]
+    for comment in comments:
+        if comment.startswith("warning:"):
+            continue
+        key, _, value = comment.partition(" = ")
+        assert _cell_is(value, scalars[key]), comment
+    warned = any(c.startswith("warning:") for c in comments)
+    assert warned == payload.get("truncated", False)
+
+
 # --- spectrum ---------------------------------------------------------------------
 
 def test_spectrum_json_payload(capsys):
@@ -164,6 +231,20 @@ def test_spectrum_env_tolerance_changes_classification(monkeypatch):
     monkeypatch.setenv("DEFECTWALK_TOL", "not-a-float")
     proc = run_cli("spectrum", "--omega", "2")
     assert proc.returncode == 2
+    # eigvec classifies nothing, so it does not read the tolerance
+    assert run_cli("eigvec", "--omega", "2", "--index", "1", "--window", "4").returncode == 0
+
+
+@pytest.mark.parametrize("bad", ["inf", "nan", "0", "-1"])
+def test_spectrum_tolerance_must_be_finite_and_positive(bad, monkeypatch, capsys):
+    # an infinite tolerance would put every eigenvalue on an arc corner
+    monkeypatch.delenv("DEFECTWALK_TOL", raising=False)
+    assert cli.main(["spectrum", "--omega", "2", "--format", "csv", "--tol", bad]) == 2
+    monkeypatch.setenv("DEFECTWALK_TOL", bad)
+    assert cli.main(["spectrum", "--omega", "2", "--format", "csv"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("must be a finite positive number") == 2
 
 
 def test_spectrum_out_file(tmp_path):
@@ -240,6 +321,20 @@ def test_simulate_initial_choices_and_dump(tmp_path, capsys):
     lines = dump.read_text().strip().splitlines()
     assert lines[1] == "t,log_norm,x,reL,imL,reR,imR"
     assert len(lines) == 2 + 7 * 25  # (steps+1) blocks of 2*window+1 sites
+
+
+def test_dump_is_written_in_window_memory(tmp_path):
+    traj = dw.evolve(dw.delta_state(256), 2.0, 100, keep_states=True)
+    path = tmp_path / "states.csv"
+    tracemalloc.start()
+    try:
+        cli._dump_states(str(path), traj)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the text alone is larger than the bound, so the rows must be streamed
+    assert path.stat().st_size > 2**20
+    assert peak < 2**20
 
 
 def test_simulate_json(capsys):
