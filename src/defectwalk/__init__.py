@@ -18,7 +18,6 @@ __version__ = "0.1.0"
 
 # submodule -> the names re-exported from it
 _REEXPORTS = {
-    "config": ("DEFAULT_TOLERANCES", "Tolerances"),
     "sqrtbranch": ("principal_sqrt", "sqrt_cartesian"),
     "walk": (
         "WaveFunction",

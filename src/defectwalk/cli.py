@@ -19,9 +19,10 @@ writer, ``write_table``, in one of two formats:
 
 ``simulate --dump`` formats the per-step states one step at a time after the
 run completes, so writing it takes O(window) memory on top of the run, and a
-run that fails writes nothing. The DEFECTWALK_TOL environment variable
-overrides the default membership tolerances; ``spectrum --tol`` takes
-precedence over it.
+run that fails writes nothing. ``spectrum`` labels each eigenvalue with its
+region (``spectrum.classify``) under one region tolerance: ``--tol`` if
+given, else the DEFECTWALK_TOL environment variable if set, else 1e-9; the
+environment is not read when ``--tol`` is given.
 
 Each command imports the modules it runs, so that --version and usage
 errors load neither numpy nor mpmath, and only validate loads mpmath.
@@ -39,7 +40,7 @@ from collections.abc import Sequence
 from itertools import chain, repeat
 
 from . import __version__
-from .config import Tolerances, check_tolerance
+from .config import check_tolerance, region_tolerance
 
 __all__ = ["main", "entrypoint", "read_eigvec_csv", "write_table"]
 
@@ -103,9 +104,7 @@ def write_table(out: str | None, fmt: str, command: str, columns: dict, *,
 def cmd_spectrum(args) -> int:
     from . import spectrum
 
-    tol = Tolerances.from_env()
-    if args.tol is not None:
-        tol = tol.with_equality_tol(args.tol)
+    tol = region_tolerance(args.tol)
     quad = spectrum.eigenvalues(args.omega)
     write_table(
         args.out, args.format, "spectrum",
@@ -360,7 +359,7 @@ def cmd_figure(args) -> int:
                          "give the SVG another extension")
     rows = figure.figure_rows(cfg)
     with open(svg_path, "w", encoding="utf-8") as fh:
-        fh.write(figure.render_svg(rows, cfg))
+        fh.write(figure.render_svg(rows))
     figure.rows_to_csv(rows, cfg, csv_path)
     return 0
 

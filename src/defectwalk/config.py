@@ -1,21 +1,24 @@
-"""Shared tolerance configuration.
+"""Input validation and the region tolerance.
 
-Every module takes its thresholds from one ``Tolerances`` bundle so that a
-single override (programmatic, ``--tol``, or the ``DEFECTWALK_TOL`` env var)
-propagates consistently.
+``check_omega`` and ``check_tolerance`` validate every omega and tolerance
+the package takes. ``REGION_TOL`` is the default tolerance of
+``spectrum.classify``, and ``region_tolerance`` picks the one a command uses.
+The other thresholds are constants of the modules that apply them.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, replace
+import sys
 
 ENV_TOL = "DEFECTWALK_TOL"
+REGION_TOL = 1e-9
 
 
 def check_omega(omega: float, *, exclude_one: bool = False) -> float:
-    """The defect strength as a float, rejected unless finite and nonzero.
+    """The defect strength as a float, rejected unless finite, nonzero and
+    normal: a subnormal omega loses digits in the closed forms silently.
 
     ``exclude_one`` also rejects omega = 1, the homogeneous walk, which has no
     point spectrum; every function that needs the four eigenvalues sets it.
@@ -25,6 +28,9 @@ def check_omega(omega: float, *, exclude_one: bool = False) -> float:
         raise ValueError(f"omega must be finite, got {omega!r}")
     if omega == 0.0:
         raise ValueError("omega must be a nonzero real (the defect coin is omega times the bulk coin)")
+    if abs(omega) < sys.float_info.min:
+        raise ValueError(f"omega must be a normal double, |omega| >= {sys.float_info.min!r}, "
+                         f"got {omega!r}")
     if exclude_one and omega == 1.0:
         raise ValueError(
             "omega = 1 is the homogeneous walk: the closed-form point spectrum "
@@ -41,37 +47,17 @@ def check_tolerance(value: float, name: str = "tolerance") -> float:
     return value
 
 
-@dataclass(frozen=True)
-class Tolerances:
-    """Tolerance bundle.
-
-    circle     : tolerance on ``| |lambda| - 1 |`` for unit-circle membership.
-    angle      : tolerance in radians on ``arg(lambda)`` for arc membership.
-    eig_match  : max distance between a user-supplied eigenvalue and the
-                 nearest closed-form one before it is rejected.
-    """
-
-    circle: float = 1e-9
-    angle: float = 1e-9
-    eig_match: float = 1e-6
-
-    def with_equality_tol(self, value: float) -> "Tolerances":
-        """Override the membership knobs (circle, angle) together;
-        eig_match stays put."""
-        value = check_tolerance(value)
-        return replace(self, circle=value, angle=value)
-
-    @classmethod
-    def from_env(cls) -> "Tolerances":
-        """Default bundle, with ``DEFECTWALK_TOL`` overriding the equality knobs."""
-        raw = os.environ.get(ENV_TOL)
-        if raw is None:
-            return cls()
-        try:
-            value = float(raw)
-        except ValueError as exc:
-            raise ValueError(f"{ENV_TOL} must be a float, got {raw!r}") from exc
-        return cls().with_equality_tol(value)
-
-
-DEFAULT_TOLERANCES = Tolerances()
+def region_tolerance(tol: float | None = None) -> float:
+    """The region tolerance: ``tol`` if given, else the ``DEFECTWALK_TOL``
+    environment variable if set, else REGION_TOL. The environment is not
+    read when ``tol`` is given."""
+    if tol is not None:
+        return check_tolerance(tol)
+    raw = os.environ.get(ENV_TOL)
+    if raw is None:
+        return REGION_TOL
+    try:
+        value = float(raw)
+    except ValueError as exc:
+        raise ValueError(f"{ENV_TOL} must be a float, got {raw!r}") from exc
+    return check_tolerance(value)

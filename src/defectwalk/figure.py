@@ -11,7 +11,7 @@ eigenvalues as markers on the circle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .cli import meta, write_table
 from .spectrum import eigenvalues, essential_spectrum_arcs
@@ -22,6 +22,10 @@ __all__ = ["FigureConfig", "FigureRow", "figure_rows", "render_svg", "rows_to_cs
 _APPROACH_TO_ONE = (0.32, 0.16, 0.08, 0.04, 0.02, 0.01)
 _EDGE_GAP = 0.02  # keep away from the omega = 0 puncture
 _ONE_GAP = 0.0099  # keep away from the omega = 1 puncture
+_ARC_SAMPLES = 181  # per essential-spectrum arc, endpoints included
+_CIRCLE_SAMPLES = 257  # on the unit circle, the first point repeated last
+_SIZE = 640  # SVG width and height in px
+_MARGIN = 24  # px between the plotted extent and the SVG edge
 
 
 @dataclass(frozen=True)
@@ -38,9 +42,6 @@ class FigureConfig:
     omega_min: float = -3.0
     omega_max: float = 3.0
     samples: int = 121
-    arc_samples: int = 181
-    circle_samples: int = 257
-    size: int = 640
 
     def __post_init__(self) -> None:
         if not (
@@ -78,10 +79,10 @@ def _branch_grid(lo: float, hi: float, samples: int, positive: bool) -> list[flo
 def figure_rows(cfg: FigureConfig | None = None) -> list[FigureRow]:
     cfg = cfg or FigureConfig()
     rows: list[FigureRow] = []
-    for k in range(cfg.circle_samples):
-        t = 2.0 * math.pi * k / (cfg.circle_samples - 1)
+    for k in range(_CIRCLE_SAMPLES):
+        t = 2.0 * math.pi * k / (_CIRCLE_SAMPLES - 1)
         rows.append(FigureRow("unit_circle", None, 0, math.cos(t), math.sin(t)))
-    for z in essential_spectrum_arcs(cfg.arc_samples):
+    for z in essential_spectrum_arcs(_ARC_SAMPLES):
         rows.append(FigureRow("sigma_arc", None, 0, float(z.real), float(z.imag)))
     for positive in (True, False):
         for om in _branch_grid(cfg.omega_min, cfg.omega_max, cfg.samples, positive):
@@ -115,48 +116,38 @@ def _polyline(points: list[tuple[float, float]], style: str) -> str:
     return f'<polyline fill="none" {style} points="{coords}"/>'
 
 
-@dataclass
-class _Canvas:
-    size: int
-    half_extent: float
-    margin: int = 24
-    lines: list[str] = field(default_factory=list)
-
-    def to_px(self, re: float, im: float) -> tuple[float, float]:
-        scale = (self.size / 2.0 - self.margin) / self.half_extent
-        return self.size / 2.0 + re * scale, self.size / 2.0 - im * scale
-
-
-def render_svg(rows: list[FigureRow], cfg: FigureConfig | None = None) -> str:
+def render_svg(rows: list[FigureRow]) -> str:
     """Static SVG 1.1; every plotted point also appears in the CSV rows."""
-    cfg = cfg or FigureConfig()
     half = 1.15
     for r in rows:
         half = max(half, abs(r.re), abs(r.im))
-    cv = _Canvas(cfg.size, half * 1.06)
+    extent = half * 1.06  # the plotted half-width, from the centre to the margin
+
+    def to_px(re: float, im: float) -> tuple[float, float]:
+        scale = (_SIZE / 2.0 - _MARGIN) / extent
+        return _SIZE / 2.0 + re * scale, _SIZE / 2.0 - im * scale
 
     out = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{cfg.size}" height="{cfg.size}" '
-        f'viewBox="0 0 {cfg.size} {cfg.size}">',
-        f'<rect width="{cfg.size}" height="{cfg.size}" fill="white"/>',
+        f'width="{_SIZE}" height="{_SIZE}" viewBox="0 0 {_SIZE} {_SIZE}">',
+        f'<rect width="{_SIZE}" height="{_SIZE}" fill="white"/>',
     ]
     # axes
-    x0, y0 = cv.to_px(-cv.half_extent, 0.0)
-    x1, y1 = cv.to_px(cv.half_extent, 0.0)
+    x0, y0 = to_px(-extent, 0.0)
+    x1, y1 = to_px(extent, 0.0)
     out.append(
         f'<line x1="{x0:.2f}" y1="{y0:.2f}" x2="{x1:.2f}" y2="{y1:.2f}" '
         'stroke="#dddddd" stroke-width="1"/>'
     )
-    x0, y0 = cv.to_px(0.0, -cv.half_extent)
-    x1, y1 = cv.to_px(0.0, cv.half_extent)
+    x0, y0 = to_px(0.0, -extent)
+    x1, y1 = to_px(0.0, extent)
     out.append(
         f'<line x1="{x0:.2f}" y1="{y0:.2f}" x2="{x1:.2f}" y2="{y1:.2f}" '
         'stroke="#dddddd" stroke-width="1"/>'
     )
 
-    circle = [cv.to_px(r.re, r.im) for r in rows if r.series == "unit_circle"]
+    circle = [to_px(r.re, r.im) for r in rows if r.series == "unit_circle"]
     if circle:
         out.append(_polyline(circle, 'stroke="#aaaaaa" stroke-width="1.2"'))
 
@@ -164,7 +155,7 @@ def render_svg(rows: list[FigureRow], cfg: FigureConfig | None = None) -> str:
     if arcs:
         split = len(arcs) // 2  # two arcs, equal sample counts
         for part in (arcs[:split], arcs[split:]):
-            pts = [cv.to_px(r.re, r.im) for r in part]
+            pts = [to_px(r.re, r.im) for r in part]
             out.append(_polyline(pts, 'stroke="black" stroke-width="3"'))
 
     loci = [r for r in rows if r.series == "locus"]
@@ -175,20 +166,20 @@ def render_svg(rows: list[FigureRow], cfg: FigureConfig | None = None) -> str:
             [r for r in loci if r.index == j and r.omega is not None and r.omega > 1],
         ):
             if len(segment) >= 2:
-                pts = [cv.to_px(r.re, r.im) for r in sorted(segment, key=lambda r: r.omega)]
+                pts = [to_px(r.re, r.im) for r in sorted(segment, key=lambda r: r.omega)]
                 out.append(
                     _polyline(pts, 'stroke="#202020" stroke-width="1.4" stroke-dasharray="7 5"')
                 )
         negative = [r for r in loci if r.index == j and r.omega is not None and r.omega < 0]
         if len(negative) >= 2:
-            pts = [cv.to_px(r.re, r.im) for r in sorted(negative, key=lambda r: r.omega)]
+            pts = [to_px(r.re, r.im) for r in sorted(negative, key=lambda r: r.omega)]
             out.append(
                 _polyline(pts, 'stroke="#202020" stroke-width="1.4" stroke-dasharray="2 4"')
             )
 
     for r in rows:
         if r.series == "marker":
-            x, y = cv.to_px(r.re, r.im)
+            x, y = to_px(r.re, r.im)
             out.append(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="4" fill="black"/>')
 
     out.append("</svg>")

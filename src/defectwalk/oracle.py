@@ -127,11 +127,14 @@ class RootScan:
     results: list[RootFindResult]
     seeds_attempted: int
     seeds_converged: int
-    seeds_failed: int
 
     @property
     def roots(self) -> list[complex]:
         return [r.root for r in self.results]
+
+    @property
+    def seeds_failed(self) -> int:
+        return self.seeds_attempted - self.seeds_converged
 
 
 # the four endpoints e^{i k pi/4}, k = 1, 3, 5, 7, of the essential-spectrum arcs
@@ -205,7 +208,7 @@ def _newton_pass(fvec, seeds: np.ndarray, side: int):
 
 def _scan_half_plane(
     omega: float, side: int, grid: int
-) -> tuple[list[RootFindResult], int, int, int]:
+) -> tuple[list[RootFindResult], int, int]:
     family = Family.PLUS if side > 0 else Family.MINUS
 
     def fvec(z):
@@ -260,9 +263,7 @@ def _scan_half_plane(
                 break
         else:
             merged.append(cand)
-    n_attempted = len(seeds)
-    n_converged = int(np.count_nonzero(conv))
-    return merged, n_attempted, n_converged, n_attempted - n_converged
+    return merged, len(seeds), int(np.count_nonzero(conv))
 
 
 def find_eigenvalues_numeric(omega: float, grid: int | None = None) -> RootScan:
@@ -281,15 +282,14 @@ def find_eigenvalues_numeric(omega: float, grid: int | None = None) -> RootScan:
         raise ValueError(f"seed grid needs at least 2 points per axis, got {grid}")
 
     results: list[RootFindResult] = []
-    attempted = converged = failed = 0
+    attempted = converged = 0
     for side in (1, -1):
-        part, n_a, n_c, n_f = _scan_half_plane(omega, side, grid)
+        part, n_a, n_c = _scan_half_plane(omega, side, grid)
         results.extend(part)
         attempted += n_a
         converged += n_c
-        failed += n_f
     results.sort(key=lambda r: math.atan2(r.root.imag, r.root.real) % (2.0 * math.pi))
-    return RootScan(omega, results, attempted, converged, failed)
+    return RootScan(omega, results, attempted, converged)
 
 
 # ---------------------------------------------------------------------------
@@ -341,7 +341,7 @@ def highprec_check(omega: float, dps: int = 60, threshold: float = 1e-40) -> Hig
         om = mp.mpf(omega)
         sgn = 1 if om > 0 else -1
         r2 = mp.sqrt(2)
-        quad = spectrum._quadruple(om, mp.sqrt, mp.mpc)
+        quad = spectrum._quadruple(mp.mpc(*spectrum._magnitudes(om, mp.sqrt)))
         for j, lam in enumerate(quad, start=1):
             inv = 1 / lam
             s = mp.sqrt(lam * lam + inv * inv)
@@ -412,7 +412,7 @@ class _DecayBuild:
 
     def __init__(self, omega: float, index: int, largest: int):
         self.om = mp.mpf(omega)
-        self.lam = spectrum._quadruple(self.om, mp.sqrt, mp.mpc)[index - 1]
+        self.lam = spectrum._quadruple(mp.mpc(*spectrum._magnitudes(self.om, mp.sqrt)))[index - 1]
         self.r2 = mp.sqrt(2)
         _, _, k, gamma, z_r, z_l = spectrum._profile(self.om, self.lam, mp.sqrt, self.r2)
         self.rows = spectrum._bound_rows(

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT_TOLERANCES, Tolerances, check_omega
+from .config import REGION_TOL, check_omega
 from .sqrtbranch import principal_sqrt
 from .walk import WaveFunction
 
@@ -52,6 +52,8 @@ __all__ = [
 
 _SQRT2 = math.sqrt(2.0)
 _PI = math.pi
+# how far a lambda given to eigenvector may lie from the closed-form eigenvalue
+EIG_MATCH = 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -102,10 +104,8 @@ def _magnitudes(omega, sqrt):
     )
 
 
-def _quadruple(omega, sqrt, cplx):
-    """(lambda_1, ..., lambda_4), counterclockwise from a + ib; ``cplx``
-    builds a complex number from its parts."""
-    lam1 = cplx(*_magnitudes(omega, sqrt))
+def _quadruple(lam1):
+    """(lambda_1, ..., lambda_4), counterclockwise from lambda_1 = a + ib."""
     return lam1, -lam1.conjugate(), -lam1, lam1.conjugate()
 
 
@@ -172,6 +172,21 @@ def _bound_rows(gamma, k, right, left, window):
 # ---------------------------------------------------------------------------
 # eigenvalue magnitudes and the quadruple
 
+def _double(formula, omega: float):
+    """``formula(omega, math.sqrt)``, the (a, b) of _magnitudes or the float of
+    _modulus_squared, in double precision. Where a result is not finite and
+    positive, one OverflowError names omega instead: (a, b) leave double range
+    from |omega| ~ 9.7e76 on, |lambda_j|^2 from ~ 9.5e153."""
+    try:
+        result = formula(omega, math.sqrt)
+    except OverflowError:  # a float ** overflow raises where * returns inf
+        result = math.inf
+    values = result if isinstance(result, tuple) else (result,)
+    if not all(math.isfinite(v) and v > 0 for v in values):
+        raise OverflowError(f"the closed-form eigenvalues leave double range at omega = {omega!r}")
+    return result
+
+
 def abs_real_part(omega: float) -> float:
     """Common |Re lambda_j| of the four point eigenvalues.
 
@@ -179,12 +194,12 @@ def abs_real_part(omega: float) -> float:
     + (omega^2-omega+1)^2)) / (4 (omega-1/2)^2 + 1)); strictly positive for
     every nonzero real omega.
     """
-    return _magnitudes(check_omega(omega), math.sqrt)[0]
+    return _double(_magnitudes, check_omega(omega))[0]
 
 
 def abs_imag_part(omega: float) -> float:
     """Common |Im lambda_j| of the four point eigenvalues (the + sign twin)."""
-    return _magnitudes(check_omega(omega), math.sqrt)[1]
+    return _double(_magnitudes, check_omega(omega))[1]
 
 
 @dataclass(frozen=True)
@@ -212,13 +227,14 @@ class SpectralQuadruple:
 
 def eigenvalues(omega: float) -> SpectralQuadruple:
     """Closed-form point spectrum for omega not in {0, 1}."""
-    return SpectralQuadruple(*_quadruple(check_omega(omega, exclude_one=True), math.sqrt, complex))
+    lam1 = complex(*_double(_magnitudes, check_omega(omega, exclude_one=True)))
+    return SpectralQuadruple(*_quadruple(lam1))
 
 
 def eigenvalue_modulus_squared(omega: float) -> float:
     """|lambda_j|^2 via the independent closed identity
     sgn(omega) * omega * sqrt((omega^2 - 2 omega + 2) / (2 omega^2 - 2 omega + 1))."""
-    return _modulus_squared(check_omega(omega), math.sqrt)
+    return _double(_modulus_squared, check_omega(omega))
 
 
 # ---------------------------------------------------------------------------
@@ -274,11 +290,11 @@ def transfer_matrix(lam: complex, x: int, omega: float) -> np.ndarray:
 class Region(enum.Enum):
     """Partition of the punctured plane by the modulus of z_+.
 
-    SIGMA  : unit-circle arcs arg in [pi/4, 3pi/4] U [5pi/4, 7pi/4]; |z_+| = 1.
     SIGMA0 : the four arc endpoints e^{i(2k+1)pi/4}; z_+ = z_-.
-    XI_PLUS  : |z_+| > 1 (open right half-plane plus the imaginary-axis
-               segments it : t in (-1,0) U (1,inf), minus SIGMA).
-    XI_MINUS : |z_+| < 1 (mirror of XI_PLUS).
+    SIGMA  : |z_+| = 1, the unit-circle arcs arg in [pi/4, 3pi/4] U
+             [5pi/4, 7pi/4] without their endpoints.
+    XI_PLUS  : |z_+| > 1.
+    XI_MINUS : |z_+| < 1.
     """
 
     SIGMA0 = "sigma0"
@@ -287,32 +303,23 @@ class Region(enum.Enum):
     XI_MINUS = "xi_minus"
 
 
-def classify(lam: complex, tol: Tolerances | None = None) -> Region:
-    """Assign lambda to its spectral region; most specific label wins.
+def classify(lam: complex, tol: float = REGION_TOL) -> Region:
+    """Assign lambda to its spectral region.
 
-    Unit-circle membership is tested first (within ``tol.circle``), then the
-    argument against the arc endpoints (``tol.angle``, yielding SIGMA0) and the
-    closed arcs (SIGMA). Off-circle points split by half-plane, with points
-    exactly on the imaginary axis assigned by the segment rule above.
+    SIGMA0 when lambda lies within ``tol`` of the unit circle and its argument
+    within ``tol`` of a corner's. Otherwise |z_+| decides: SIGMA when
+    ||z_+| - 1| <= tol, else XI_PLUS above 1 and XI_MINUS below. Like
+    :func:`bulk_multipliers`, it needs lambda^2 and lambda^-2 in double range.
     """
-    tol = tol or DEFAULT_TOLERANCES
     lam = _check_lambda(lam)
-    if abs(abs(lam) - 1.0) <= tol.circle:
+    if abs(abs(lam) - 1.0) <= tol:
         theta = math.atan2(lam.imag, lam.real) % (2.0 * _PI)
-        if min(abs(theta - k * _PI / 4.0) for k in (1, 3, 5, 7)) <= tol.angle:
+        if min(abs(theta - k * _PI / 4.0) for k in (1, 3, 5, 7)) <= tol:
             return Region.SIGMA0
-        if (_PI / 4.0 - tol.angle <= theta <= 3.0 * _PI / 4.0 + tol.angle) or (
-            5.0 * _PI / 4.0 - tol.angle <= theta <= 7.0 * _PI / 4.0 + tol.angle
-        ):
-            return Region.SIGMA
-    if lam.real > 0.0:
-        return Region.XI_PLUS
-    if lam.real < 0.0:
-        return Region.XI_MINUS
-    t = lam.imag
-    if -1.0 < t < 0.0 or t > 1.0:
-        return Region.XI_PLUS
-    return Region.XI_MINUS
+    gap = abs(_bulk(lam, principal_sqrt, _SQRT2)[0]) - 1.0
+    if abs(gap) <= tol:
+        return Region.SIGMA
+    return Region.XI_PLUS if gap > 0 else Region.XI_MINUS
 
 
 def essential_spectrum_arcs(samples_per_arc: int) -> np.ndarray:
@@ -416,11 +423,11 @@ class EigenvectorProfile:
         return (self.gamma, self.kappa)
 
 
-def _match_eigenvalue(omega: float, lam: complex, tol: Tolerances) -> tuple[int, complex]:
+def _match_eigenvalue(omega: float, lam: complex) -> tuple[int, complex]:
     quad = eigenvalues(omega)
     dists = [abs(lam - mu) for mu in quad]
     j = int(np.argmin(dists))
-    if dists[j] > tol.eig_match:
+    if dists[j] > EIG_MATCH:
         raise ValueError(
             f"lambda {lam!r} is not a point eigenvalue for omega={omega!r}; "
             f"nearest is lambda_{j + 1} = {quad.by_index(j + 1)!r} at distance {dists[j]:.3e}"
@@ -428,27 +435,19 @@ def _match_eigenvalue(omega: float, lam: complex, tol: Tolerances) -> tuple[int,
     return j + 1, quad.by_index(j + 1)
 
 
-def eigenvector_profile(
-    omega: float, lam: complex, tol: Tolerances | None = None
-) -> EigenvectorProfile:
+def eigenvector_profile(omega: float, lam: complex) -> EigenvectorProfile:
     """Family, sign choice, and tail multipliers for a point eigenvalue.
 
-    ``lam`` is matched against the closed-form quadruple within
-    ``tol.eig_match`` and snapped to the matched value.
+    ``lam`` is matched against the closed-form quadruple within EIG_MATCH
+    and snapped to the matched value.
     """
-    tol = tol or DEFAULT_TOLERANCES
     omega = check_omega(omega, exclude_one=True)
     lam = _check_lambda(lam)
-    index, lam = _match_eigenvalue(omega, lam, tol)
+    index, lam = _match_eigenvalue(omega, lam)
     return EigenvectorProfile(omega, lam, index, *_profile(omega, lam, principal_sqrt, _SQRT2))
 
 
-def eigenvector(
-    omega: float,
-    lam: complex,
-    window: int,
-    tol: Tolerances | None = None,
-) -> WaveFunction:
+def eigenvector(omega: float, lam: complex, window: int) -> WaveFunction:
     """Normalized bound state on sites [-window, window].
 
     Three-piece closed form, written with s = sign, k = kappa (or kappa' for
@@ -465,7 +464,7 @@ def eigenvector(
     window = int(window)
     if window < 1:
         raise ValueError(f"window must be >= 1, got {window!r}")
-    prof = eigenvector_profile(omega, lam, tol)
+    prof = eigenvector_profile(omega, lam)
     right = [prof.z_decay_right**m for m in range(window + 1)]
     left = [prof.z_decay_left**-m for m in range(window + 1)]
     state = WaveFunction(window, _bound_rows(prof.gamma, prof.kappa, right, left, window))

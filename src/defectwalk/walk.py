@@ -213,7 +213,6 @@ class Trajectory:
     growth_running: np.ndarray
     truncated_from_step: int | None
     final_state: WaveFunction
-    final_log_scale: float
     states: list[WaveFunction] = field(default_factory=list)
 
     @property
@@ -244,7 +243,7 @@ def evolve(
     scale), so growing and shrinking runs are equally well conditioned. Only
     O(window) memory is used unless ``keep_states`` asks for the normalized
     per-step states. ``final_state`` is the normalized final state;
-    ``final_log_scale`` restores the original scale. A step whose norm leaves
+    ``log_norms[-1]`` restores the original scale. A step whose norm leaves
     double range (above sqrt(DBL_MAX) ~ 1.34e154 before renormalization)
     raises OverflowError naming omega and the step, and so does a growing run
     whose linear-scale columns would leave double range (origin_weight goes
@@ -340,7 +339,6 @@ def evolve(
         growth_running=growth,
         truncated_from_step=truncated_from_step,
         final_state=current,
-        final_log_scale=log_scale,
         states=states,
     )
 

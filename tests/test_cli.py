@@ -231,6 +231,11 @@ def test_spectrum_env_tolerance_changes_classification(monkeypatch):
     monkeypatch.setenv("DEFECTWALK_TOL", "not-a-float")
     proc = run_cli("spectrum", "--omega", "2")
     assert proc.returncode == 2
+    # --tol wins without reading the environment
+    with_env = run_cli("spectrum", "--omega", "2", "--tol", "1e-6", check=True)
+    monkeypatch.delenv("DEFECTWALK_TOL")
+    assert with_env.stdout == run_cli("spectrum", "--omega", "2", "--tol", "1e-6",
+                                      check=True).stdout
     # eigvec classifies nothing, so it does not read the tolerance
     assert run_cli("eigvec", "--omega", "2", "--index", "1", "--window", "4").returncode == 0
 

@@ -34,9 +34,9 @@ _SPECTRAL = {
     "residual_decay": lambda om: dw.residual_decay(om, 1),
 }
 _CASES = [(name, fn, bad) for name, fn in _TAKES_OMEGA.items()
-          for bad in (0.0, float("nan"), float("inf"), float("-inf"))]
+          for bad in (0.0, 1e-320, float("nan"), float("inf"), float("-inf"))]
 _CASES += [(name, fn, bad) for name, fn in _SPECTRAL.items()
-           for bad in (0.0, float("nan"), float("inf"), float("-inf"), 1.0)]
+           for bad in (0.0, 1e-320, float("nan"), float("inf"), float("-inf"), 1.0)]
 
 
 @pytest.mark.parametrize("name,fn,omega", _CASES, ids=[f"{n}-{o}" for n, _, o in _CASES])

@@ -2,13 +2,15 @@ from __future__ import annotations
 
 import cmath
 import math
+import re
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import defectwalk as dw
-from defectwalk import Family, Region
+from defectwalk import Family, Region, cli, config, spectrum
 
 from .conftest import OMEGA_GRID
 
@@ -45,6 +47,35 @@ def test_modulus_squared_frozen_values():
         0.7905694150420949, abs=1e-15
     )
     assert dw.eigenvalue_modulus_squared(-1.0) == pytest.approx(1.0, abs=1e-15)
+
+
+_MAGNITUDES = (dw.abs_real_part, dw.abs_imag_part, lambda om: dw.eigenvalues(om).lambda1)
+
+
+@pytest.mark.parametrize("omega", [9.8e76, -9.8e76, 1.2e77, -1.2e77, 9.5e153, 1.35e154])
+def test_closed_forms_name_omega_beyond_double_range(omega, capsys):
+    # (omega - 1)^4 overflows from |omega| ~ 9.7e76 (to inf, then to a bare
+    # range error from ~1.16e77); |lambda|^2 from ~9.5e153 (to 0, then NaN)
+    named = f"omega = {omega!r}"
+    pattern = re.escape(named)
+    for fn in _MAGNITUDES:
+        with pytest.raises(OverflowError, match=pattern):
+            fn(omega)
+    if abs(omega) > 1e100:
+        with pytest.raises(OverflowError, match=pattern):
+            dw.eigenvalue_modulus_squared(omega)
+    for argv in (["spectrum"], ["eigvec", "--index", "1", "--window", "4"]):
+        assert cli.main([*argv, f"--omega={omega!r}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and named in captured.err
+    # short of the overflow the double results still match mpmath
+    near = math.copysign(1e76, omega)
+    with mp.workdps(40):
+        a, b = spectrum._magnitudes(mp.mpf(near), mp.sqrt)
+        m2 = spectrum._modulus_squared(mp.mpf(near), mp.sqrt)
+    for got, want in ((dw.abs_real_part(near), a), (dw.abs_imag_part(near), b),
+                      (dw.eigenvalue_modulus_squared(near), m2)):
+        assert abs(got / want - 1) <= 1e-15
 
 
 def test_quadruple_structure_and_square():
@@ -209,6 +240,30 @@ def test_classification_matches_multiplier_dichotomy():
             assert abs(zp) > 1.0
         elif region is Region.XI_MINUS:
             assert abs(zp) < 1.0
+
+    # near omega = 1, ||lambda| - 1| ~ |omega - 1|^3 / 2 is below the
+    # tolerance while |z_+| - 1 ~ +-|omega - 1|^2 / 2 is not
+    for d in (1.25e-3, 1e-3, 1e-4, 5e-5):
+        for omega in (1.0 - d, 1.0 + d):
+            assert [dw.classify(lam) for lam in dw.eigenvalues(omega)] == [
+                Region.XI_PLUS, Region.XI_MINUS, Region.XI_MINUS, Region.XI_PLUS
+            ], omega
+    # closer still, the eigenvalues lie within the tolerance of a corner
+    for d in (3e-5, 1e-5, 1e-6):
+        for omega in (1.0 - d, 1.0 + d):
+            assert {dw.classify(lam) for lam in dw.eigenvalues(omega)} == {Region.SIGMA0}, omega
+
+    # the eigenvalues of a log-uniform sweep against a 40-digit |z_+|
+    sweep = 10.0 ** rng.uniform(-6.0, 6.0, size=200)
+    for omega in np.concatenate([sweep, -sweep]):
+        for lam in dw.eigenvalues(omega):
+            region = dw.classify(lam)
+            with mp.workdps(40):
+                z = mp.mpc(lam.real, lam.imag)
+                gap = float(abs((z + 1 / z + mp.sqrt(z * z + z ** -2)) / mp.sqrt(2)) - 1)
+            if region is Region.SIGMA0 or abs(gap) <= config.REGION_TOL:
+                continue
+            assert region is (Region.XI_PLUS if gap > 0 else Region.XI_MINUS), (omega, lam)
 
 
 def test_essential_spectrum_arcs():
