@@ -5,7 +5,10 @@ homogeneous two-component walk produces, for omega outside {0, 1}, exactly
 four point eigenvalues in closed form. This package computes those closed
 forms (eigenvalues, bound states, transfer-matrix machinery, spectral-region
 classification) and verifies them independently (dense truncations, blind
-root scans, extended-precision identity checks, residual decay fits).
+root scans, extended-precision identity checks, residual decay fits). Each
+public name serves a command, a validate suite or a raw-versus-closed
+cross-check; the oracles' precisions, thresholds and windows are constants of
+``oracle``, not options.
 
 The names below and the submodules are imported on first use (PEP 562), so a
 command pays only for what it runs: numpy loads with ``walk`` or
@@ -22,12 +25,10 @@ _REEXPORTS = {
     "walk": (
         "WaveFunction",
         "Trajectory",
-        "coin",
         "delta_state",
         "apply_U",
         "eigen_residual",
         "evolve",
-        "growth_rate",
     ),
     "spectrum": (
         "Region",
@@ -53,11 +54,8 @@ _REEXPORTS = {
     ),
     "oracle": (
         "RootScan",
-        "HighPrecReport",
         "DecayFit",
         "build_dense",
-        "state_to_vector",
-        "vector_to_state",
         "find_eigenvalues_numeric",
         "highprec_check",
         "residual_decay",

@@ -42,7 +42,7 @@ from itertools import chain, repeat
 from . import __version__
 from .config import check_tolerance, region_tolerance
 
-__all__ = ["main", "entrypoint", "read_eigvec_csv", "write_table"]
+__all__ = ["main", "entrypoint", "write_table"]
 
 DEFAULT_OMEGA_GRID = (-3.0, -2.0, -1.0, -0.5, 0.5, 0.9, 1.5, 2.0, 3.0)
 VALIDATE_SUITES = ("highprec", "roots", "residual", "decay")
@@ -129,6 +129,11 @@ def cmd_eigvec(args) -> int:
     lam = spectrum.eigenvalues(args.omega).by_index(args.index)
     state = spectrum.eigenvector(args.omega, lam, args.window)
     residual = float(walk.eigen_residual(state, args.omega, lam, interior_only=True))
+    if not residual < RESIDUAL_BOUND:
+        raise ArithmeticError(
+            f"omega = {args.omega!r}: the bound state of lambda_{args.index} on window "
+            f"{args.window} has interior residual {residual:.3e}, not below {RESIDUAL_BOUND:g}"
+        )
     re_l, im_l, re_r, im_r = state.amps.view(float).T.tolist()
     write_table(
         args.out, args.format, "eigvec",
@@ -146,43 +151,6 @@ def cmd_eigvec(args) -> int:
         tail=meta(interior_residual=residual),
     )
     return 0
-
-
-def read_eigvec_csv(text: str) -> tuple[walk.WaveFunction, dict]:
-    """Parse an eigvec CSV export back into a state plus its metadata."""
-    import numpy as np
-
-    from . import walk
-
-    meta: dict[str, float] = {}
-    rows: list[tuple[int, complex, complex]] = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            body = line.lstrip("#").strip()
-            if "=" in body:
-                key, _, value = body.partition("=")
-                try:
-                    meta[key.strip()] = float(value.strip())
-                except ValueError:
-                    pass
-            continue
-        if line.startswith("x,"):
-            continue
-        x, re_l, im_l, re_r, im_r = line.split(",")
-        rows.append(
-            (int(x), complex(float(re_l), float(im_l)), complex(float(re_r), float(im_r)))
-        )
-    if not rows:
-        raise ValueError("no amplitude rows found")
-    window = max(abs(r[0]) for r in rows)
-    amps = np.zeros((2 * window + 1, 2), dtype=complex)
-    for x, l, r in rows:
-        amps[x + window, 0] = l
-        amps[x + window, 1] = r
-    return walk.WaveFunction(window, amps), meta
 
 
 # ---------------------------------------------------------------------------
@@ -266,8 +234,7 @@ def _validate_omega(omega: float, suites: tuple[str, ...], match_tol: float,
 
     checks: list[dict] = []
     if "highprec" in suites:
-        report = oracle.highprec_check(omega)
-        for c in report.checks:
+        for c in oracle.highprec_check(omega):
             checks.append(_check(f"highprec/{c.name}", c.passed, c.error))
     quad = spectrum.eigenvalues(omega)
     closed = list(quad)

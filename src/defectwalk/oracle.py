@@ -14,12 +14,12 @@ Four routes that do not assume the closed-form answers:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import mpmath as mp
 import numpy as np
 
-from . import spectrum, walk
+from . import spectrum
 from .config import check_omega
 from .spectrum import Family, Region
 
@@ -28,11 +28,8 @@ __all__ = [
     "RootFindResult",
     "RootScan",
     "PrecisionCheck",
-    "HighPrecReport",
     "DecayFit",
     "build_dense",
-    "state_to_vector",
-    "vector_to_state",
     "find_eigenvalues_numeric",
     "highprec_check",
     "residual_decay",
@@ -79,15 +76,6 @@ def build_dense(omega: float, window: int) -> np.ndarray:
             mat[col(x, 1), col(x - 1, 0)] = w / _SQRT2
             mat[col(x, 1), col(x - 1, 1)] = w / _SQRT2
     return mat
-
-
-def state_to_vector(state: walk.WaveFunction) -> np.ndarray:
-    return state.amps.reshape(-1).copy()
-
-
-def vector_to_state(vec: np.ndarray, window: int) -> walk.WaveFunction:
-    window = int(window)
-    return walk.WaveFunction(window, np.asarray(vec, dtype=complex).reshape(2 * window + 1, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -206,13 +194,20 @@ def _newton_pass(fvec, seeds: np.ndarray, side: int):
     return z, fz, converged, dead, iters
 
 
+def _branch_sqrt(z):
+    """principal_sqrt extended to numpy arrays (same -0.0 normalization)."""
+    arr = np.asarray(z, dtype=complex)
+    arr = np.where(arr.imag == 0.0, arr.real + 0j, arr)
+    return np.sqrt(arr)
+
+
 def _scan_half_plane(
     omega: float, side: int, grid: int
 ) -> tuple[list[RootFindResult], int, int]:
     family = Family.PLUS if side > 0 else Family.MINUS
 
     def fvec(z):
-        kappa = spectrum._bulk(z, spectrum._branch_sqrt, _SQRT2)[2]
+        kappa = spectrum._bulk(z, _branch_sqrt, _SQRT2)[2]
         p = spectrum._det_parameter(z, omega, kappa, family)
         return spectrum._closed_det(p, _SQRT2, family)
 
@@ -302,23 +297,14 @@ class PrecisionCheck:
     error: float
 
 
-@dataclass
-class HighPrecReport:
-    omega: float
-    dps: int
-    threshold: float
-    checks: list[PrecisionCheck] = field(default_factory=list)
-
-    @property
-    def all_passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def failed(self) -> list[PrecisionCheck]:
-        return [c for c in self.checks if not c.passed]
+# working digits of the identity checks, and the error below which one passes
+HIGHPREC_DPS = 60
+HIGHPREC_THRESHOLD = 1e-40
 
 
-def highprec_check(omega: float, dps: int = 60, threshold: float = 1e-40) -> HighPrecReport:
-    """Re-derives the spectral identities at ``dps`` significant digits.
+def highprec_check(omega: float) -> list[PrecisionCheck]:
+    """Re-derives the spectral identities at HIGHPREC_DPS significant digits;
+    an identity passes when its error is below HIGHPREC_THRESHOLD.
 
     Checks, per eigenvalue where applicable: the determinant-parameter root
     values (-1 +- i)/sqrt2 and (1 +- i)/sqrt2 with the branch fixed by
@@ -329,15 +315,15 @@ def highprec_check(omega: float, dps: int = 60, threshold: float = 1e-40) -> Hig
     are verified too.
     """
     omega = check_omega(omega, exclude_one=True)
-    report = HighPrecReport(omega, int(dps), float(threshold))
+    checks: list[PrecisionCheck] = []
 
     def add(name: str, err, passed=None) -> None:
         err_f = float(err)
-        report.checks.append(
-            PrecisionCheck(name, bool(err_f < threshold) if passed is None else bool(passed), err_f)
-        )
+        checks.append(PrecisionCheck(
+            name, bool(err_f < HIGHPREC_THRESHOLD) if passed is None else bool(passed), err_f
+        ))
 
-    with mp.workdps(int(dps)):
+    with mp.workdps(HIGHPREC_DPS):
         om = mp.mpf(omega)
         sgn = 1 if om > 0 else -1
         r2 = mp.sqrt(2)
@@ -374,7 +360,7 @@ def highprec_check(omega: float, dps: int = 60, threshold: float = 1e-40) -> Hig
             s10 = mp.sqrt(10)
             add("unitary_case_exact_imag", abs(b * s10 - 1))
             add("unitary_case_exact_real", abs(a * s10 - 3))
-    return report
+    return checks
 
 
 # ---------------------------------------------------------------------------
@@ -461,16 +447,14 @@ class _DecayBuild:
         return mp.sqrt(res2 / mp.fsum(amps, absolute=True, squared=True))
 
 
-# digits kept below the smallest residual a decay fit expects to see
+# the windows a decay fit runs on, the fewest digits it runs at, and the
+# digits kept below the smallest residual it expects to see
+DECAY_WINDOWS = (16, 32, 64, 128)
+DECAY_DPS = 80
 _DECAY_HEADROOM_DIGITS = 25
 
 
-def residual_decay(
-    omega: float,
-    index: int,
-    windows: tuple[int, ...] = (16, 32, 64, 128),
-    dps: int = 80,
-) -> DecayFit:
+def residual_decay(omega: float, index: int) -> DecayFit:
     """Full-window residual ||U_N psi - lambda psi|| / ||psi|| of the closed
     form bound state versus window size, in extended precision.
 
@@ -484,10 +468,11 @@ def residual_decay(
     A residual cannot fall below ~10^-digits, and a point on that floor bends
     the fit, so the working precision is picked from observed residuals, never
     from the predicted rate: the residuals at the two smallest windows,
-    computed at ``dps`` digits, are extrapolated geometrically to the largest
-    window, and the fit runs at max(dps, 25 - log10(extrapolation)) digits.
-    Should those two residuals themselves sit near 10^-dps, the extrapolation
-    falls short and the fit misses its bound rather than passing.
+    computed at DECAY_DPS digits, are extrapolated geometrically to the
+    largest window, and the fit runs at max(DECAY_DPS, 25 -
+    log10(extrapolation)) digits. Should those two residuals themselves sit
+    near 10^-DECAY_DPS, the extrapolation falls short and the fit misses its
+    bound rather than passing.
 
     The bound state is built once per precision, at the largest window, with
     its tail powers as running products. Each entry of U psi - lambda psi is
@@ -498,27 +483,23 @@ def residual_decay(
     omega = check_omega(omega, exclude_one=True)
     if index not in (1, 2, 3, 4):
         raise ValueError(f"eigenvalue index must be 1..4, got {index!r}")
-    windows = tuple(int(n) for n in windows)
-    if len(set(windows)) < 2 or any(n < 2 for n in windows):
-        raise ValueError(f"need at least two distinct windows >= 2, got {windows!r}")
-    w1, w2 = sorted(set(windows))[:2]
-    largest = max(windows)
-    with mp.workdps(int(dps)):
+    w1, w2, *_, largest = DECAY_WINDOWS
+    with mp.workdps(DECAY_DPS):
         build = _DecayBuild(omega, index, largest)
         probe = {n: build.residual(n) for n in (w1, w2)}
     log1, log2 = mp.log10(probe[w1]), mp.log10(probe[w2])
     log_at_largest = log1 + (log2 - log1) * (largest - w1) / (w2 - w1)
-    digits = max(int(dps), int(mp.ceil(_DECAY_HEADROOM_DIGITS - log_at_largest)))
+    digits = max(DECAY_DPS, int(mp.ceil(_DECAY_HEADROOM_DIGITS - log_at_largest)))
     with mp.workdps(digits):
-        if digits > int(dps):
+        if digits > DECAY_DPS:
             build, probe = _DecayBuild(omega, index, largest), {}
-        residuals = [probe[n] if n in probe else build.residual(n) for n in windows]
+        residuals = [probe[n] if n in probe else build.residual(n) for n in DECAY_WINDOWS]
     predicted = build.predicted
     residuals = [float(r) for r in residuals]
-    xs = np.array(windows, dtype=float)
+    xs = np.array(DECAY_WINDOWS, dtype=float)
     ys = np.log(np.array(residuals))
     slope = np.polyfit(xs, ys, 1)[0]
     return DecayFit(
-        omega, int(index), windows, tuple(residuals),
+        omega, int(index), DECAY_WINDOWS, tuple(residuals),
         float(math.exp(slope)), predicted,
     )

@@ -68,21 +68,28 @@ def _check_lambda(lam: complex) -> complex:
     return lam
 
 
-def _branch_sqrt(z):
-    """principal_sqrt extended to numpy arrays (same -0.0 normalization)."""
-    arr = np.asarray(z, dtype=complex)
-    arr = np.where(arr.imag == 0.0, arr.real + 0j, arr)
-    return np.sqrt(arr)
+def _scalar_bulk(lam: complex):
+    """_bulk of one checked double lambda. Where lambda^2 or lambda^-2 leaves
+    double range, one ValueError names lambda and the range instead of the
+    non-finite input principal_sqrt rejects."""
+    try:
+        return _bulk(lam, principal_sqrt, _SQRT2)
+    except ValueError:
+        raise ValueError(
+            f"lambda = {lam!r} is out of range: the bulk multipliers need lambda^2 and "
+            f"lambda^-2 in double range, about 7.5e-155 < |lambda| < 1.34e154"
+        ) from None
 
 
 # ---------------------------------------------------------------------------
 # closed forms, each written once for every precision
 #
 # The working precision comes in through the arguments: ``sqrt`` is the
-# principal root (principal_sqrt on scalars, _branch_sqrt on numpy arrays,
-# mp.sqrt under mpmath) and ``r2`` is sqrt(2) at the same precision. Inputs
-# are validated by the callers. The operation order is part of the contract:
-# the double-precision results, and so the CLI output, depend on it.
+# principal root (principal_sqrt on scalars, the scan's numpy extension of it
+# on arrays, mp.sqrt under mpmath) and ``r2`` is sqrt(2) at the same
+# precision. Inputs are validated by the callers. The operation order is part
+# of the contract: the double-precision results, and so the CLI output, depend
+# on it.
 
 class Family(enum.Enum):
     """Which dependence determinant an eigenvalue annihilates: PLUS for the
@@ -247,7 +254,7 @@ def bulk_multipliers(lam: complex) -> tuple[complex, complex]:
     with the shared branch of :func:`principal_sqrt`. Always z_+ z_- = 1;
     they coalesce exactly at the four arc endpoints e^{i(2k+1)pi/4}.
     """
-    return _bulk(_check_lambda(lam), principal_sqrt, _SQRT2)[:2]
+    return _scalar_bulk(_check_lambda(lam))[:2]
 
 
 def bulk_slopes(lam: complex) -> tuple[complex, complex]:
@@ -257,7 +264,7 @@ def bulk_slopes(lam: complex) -> tuple[complex, complex]:
     kappa  = (-lambda + lambda^{-1} + sqrt(lambda^2 + lambda^{-2})) / sqrt2
     kappa' = (-lambda + lambda^{-1} - sqrt(lambda^2 + lambda^{-2})) / sqrt2
     """
-    return _bulk(_check_lambda(lam), principal_sqrt, _SQRT2)[2:]
+    return _scalar_bulk(_check_lambda(lam))[2:]
 
 
 def bulk_eigenvectors(lam: complex) -> tuple[np.ndarray, np.ndarray]:
@@ -316,7 +323,7 @@ def classify(lam: complex, tol: float = REGION_TOL) -> Region:
         theta = math.atan2(lam.imag, lam.real) % (2.0 * _PI)
         if min(abs(theta - k * _PI / 4.0) for k in (1, 3, 5, 7)) <= tol:
             return Region.SIGMA0
-    gap = abs(_bulk(lam, principal_sqrt, _SQRT2)[0]) - 1.0
+    gap = abs(_scalar_bulk(lam)[0]) - 1.0
     if abs(gap) <= tol:
         return Region.SIGMA
     return Region.XI_PLUS if gap > 0 else Region.XI_MINUS
@@ -339,7 +346,7 @@ def essential_spectrum_arcs(samples_per_arc: int) -> np.ndarray:
 def _scalar_parameter(lam: complex, omega: float, family: Family) -> complex:
     lam = _check_lambda(lam)
     omega = check_omega(omega)
-    return _det_parameter(lam, omega, _bulk(lam, principal_sqrt, _SQRT2)[2], family)
+    return _det_parameter(lam, omega, _scalar_bulk(lam)[2], family)
 
 
 def det_parameter_plus(lam: complex, omega: float) -> complex:
@@ -418,10 +425,6 @@ class EigenvectorProfile:
     z_decay_right: complex
     z_decay_left: complex
 
-    def defect_site(self) -> tuple[complex, complex]:
-        """(L, R) amplitudes at x = 0 before normalization."""
-        return (self.gamma, self.kappa)
-
 
 def _match_eigenvalue(omega: float, lam: complex) -> tuple[int, complex]:
     quad = eigenvalues(omega)
@@ -459,15 +462,30 @@ def eigenvector(omega: float, lam: complex, window: int) -> WaveFunction:
 
     and for the MINUS family the same shape with s replaced by -s in the
     right piece and at the defect. Scaled to unit norm over the window with
-    the right component at the defect site real and positive.
+    the right component at the defect site real and positive. Where an
+    amplitude or the norm leaves double range, one OverflowError names omega,
+    the index and the window.
     """
     window = int(window)
     if window < 1:
         raise ValueError(f"window must be >= 1, got {window!r}")
     prof = eigenvector_profile(omega, lam)
-    right = [prof.z_decay_right**m for m in range(window + 1)]
-    left = [prof.z_decay_left**-m for m in range(window + 1)]
-    state = WaveFunction(window, _bound_rows(prof.gamma, prof.kappa, right, left, window))
+    # a complex ** or / out of range raises (kappa = 0 too), a * gives inf or
+    # nan, and so does the norm of finite amplitudes whose squares overflow
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            right = [prof.z_decay_right**m for m in range(window + 1)]
+            left = [prof.z_decay_left**-m for m in range(window + 1)]
+            amps = np.array(_bound_rows(prof.gamma, prof.kappa, right, left, window), dtype=complex)
+            nrm = float(np.linalg.norm(amps))
+        except (OverflowError, ZeroDivisionError):
+            nrm = math.inf
+    if not (math.isfinite(nrm) and nrm > 0.0):
+        raise OverflowError(
+            f"omega = {prof.omega!r}: the bound state of lambda_{prof.index} leaves double "
+            f"range on window {window}"
+        )
+    state = WaveFunction(window, amps)
     r0 = state.amps[window, 1]
-    state.amps *= (r0.conjugate() / abs(r0)) / state.norm()
+    state.amps *= (r0.conjugate() / abs(r0)) / nrm
     return state

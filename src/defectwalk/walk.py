@@ -27,12 +27,10 @@ from .config import check_omega
 __all__ = [
     "WaveFunction",
     "Trajectory",
-    "coin",
     "delta_state",
     "apply_U",
     "eigen_residual",
     "evolve",
-    "growth_rate",
 ]
 
 _SQRT2 = math.sqrt(2.0)
@@ -112,14 +110,6 @@ def delta_state(window: int, chirality: str = "up") -> WaveFunction:
         amps[window, 0] = 1.0 / _SQRT2
         amps[window, 1] = 1j / _SQRT2
     return WaveFunction(window, amps)
-
-
-def coin(x: int, omega: float) -> np.ndarray:
-    """Local coin: (1/sqrt2)[[1, -1], [1, 1]] away from the origin, omega
-    times that at x = 0."""
-    omega = check_omega(omega)
-    base = np.array([[1.0, -1.0], [1.0, 1.0]]) / _SQRT2
-    return omega * base if x == 0 else base
 
 
 def _stencil(src: np.ndarray, dst: np.ndarray, w: np.ndarray,
@@ -341,14 +331,3 @@ def evolve(
         final_state=current,
         states=states,
     )
-
-
-def growth_rate(state: WaveFunction, omega: float, steps: int) -> float:
-    """Norm growth rate ||U^t psi||^(1/t) estimated by the tail-window
-    geometric mean; converges to the largest eigenvalue modulus when the
-    point spectrum dominates and to ~1 when the essential spectrum does."""
-    steps = int(steps)
-    if steps < 10:
-        raise ValueError(f"growth_rate needs steps >= 10, got {steps!r}")
-    traj = evolve(state, omega, steps)
-    return float(traj.growth_running[-1])

@@ -83,7 +83,8 @@ def test_criterion_3_bound_state_residuals_and_their_decay():
             res = dw.eigen_residual(psi, omega, lam, interior_only=True)
             assert res < 1e-10, (omega, j, res)
             worst_res = max(worst_res, res)
-            fit = dw.residual_decay(omega, j, windows=(16, 32, 64, 128))
+            fit = dw.residual_decay(omega, j)
+            assert fit.windows == (16, 32, 64, 128)
             assert fit.relative_gap <= 0.10, (omega, j, fit)
             worst_gap = max(worst_gap, fit.relative_gap)
     elapsed = time.perf_counter() - t0

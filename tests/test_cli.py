@@ -62,6 +62,8 @@ def test_package_names_resolve_on_first_use():
         "from defectwalk import build_dense\n"
         "assert build_dense is defectwalk.oracle.build_dense\n"
         "assert set(defectwalk.__all__) <= set(dir(defectwalk))\n"
+        "for name in defectwalk.__all__:\n"
+        "    getattr(defectwalk, name)\n"
         "print(fit.__module__, build_dense.__module__)\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
@@ -272,12 +274,35 @@ def test_eigvec_csv_window_rows(capsys):
 def test_eigvec_round_trip_residual(capsys):
     assert cli.main(["eigvec", "--omega", "-0.5", "--index", "2",
                      "--window", "24"]) == 0
-    state, meta = cli.read_eigvec_csv(capsys.readouterr().out)
-    lam = complex(meta["eigenvalue_re"], meta["eigenvalue_im"])
-    assert meta["omega"] == -0.5
-    assert state.window == 24
-    assert dw.eigen_residual(state, meta["omega"], lam) <= 1e-12
+    lines = capsys.readouterr().out.splitlines()
+    meta = dict(ln[2:].split(" = ") for ln in lines if " = " in ln)
+    rows = [ln.split(",") for ln in lines if not ln.startswith(("#", "x,"))]
+    assert [int(row[0]) for row in rows] == list(range(-24, 25))
+    amps = [[complex(float(re_l), float(im_l)), complex(float(re_r), float(im_r))]
+            for _, re_l, im_l, re_r, im_r in rows]
+    state = dw.WaveFunction(24, amps)
+    omega = float(meta["omega"])
+    lam = complex(float(meta["eigenvalue_re"]), float(meta["eigenvalue_im"]))
+    assert omega == -0.5
+    assert dw.eigen_residual(state, omega, lam) <= 1e-12
     assert state.norm() == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("window", [4, 64])
+@pytest.mark.parametrize("omega", ["3e4", "-3e4", "1e5", "-1e5", "1e14", "1e16", "1e17",
+                                   "1e-13", "1e-16", "1e-50", "1e-160"])
+def test_eigvec_writes_a_bound_state_or_fails_naming_omega(omega, window, capsys):
+    # at the ends of the omega range the state is either a bound state to
+    # RESIDUAL_BOUND or a loud error, never a wrong state written with exit 0
+    for index in (1, 2, 3, 4):
+        rc = cli.main(["eigvec", f"--omega={omega}", "--index", str(index),
+                       "--window", str(window), "--format", "json"])
+        out, err = capsys.readouterr()
+        if rc == 0:
+            assert json.loads(out)["interior_residual"] < cli.RESIDUAL_BOUND
+        else:
+            assert rc == 2 and out == ""
+            assert "omega" in err and f"lambda_{index}" in err and str(window) in err
 
 
 def test_eigvec_json_format(capsys):

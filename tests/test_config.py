@@ -18,11 +18,12 @@ _TAKES_OMEGA = {
     "det_parameter_minus": lambda om: dw.det_parameter_minus(_LAM, om),
     "dependence_det_plus": lambda om: dw.dependence_det_plus(_LAM, om),
     "dependence_det_minus": lambda om: dw.dependence_det_minus(_LAM, om),
-    "coin": lambda om: dw.coin(0, om),
+    # the defect coin, read where one step sends the origin's L component
+    "coin": lambda om: dw.apply_U(_STATE, om).site(-1),
     "apply_U": lambda om: dw.apply_U(_STATE, om),
     "eigen_residual": lambda om: dw.eigen_residual(_STATE, om, _LAM),
     "evolve": lambda om: dw.evolve(_STATE, om, 0),
-    "growth_rate": lambda om: dw.growth_rate(_STATE, om, 10),
+    "growth_rate": lambda om: dw.evolve(_STATE, om, 10).growth_running[-1],
     "build_dense": lambda om: dw.build_dense(om, 4),
     "find_eigenvalues_numeric": lambda om: dw.find_eigenvalues_numeric(om, grid=4),
 }

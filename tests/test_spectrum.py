@@ -145,6 +145,15 @@ def test_lambda_zero_rejected():
         dw.bulk_multipliers(0.0 + 0.0j)
     with pytest.raises(ValueError):
         dw.bulk_slopes(complex(float("nan"), 0.0))
+    # lambda^2 or lambda^-2 out of double range: one error naming lambda
+    for lam in (1.4e154, 7e-155):
+        for fn in (dw.bulk_multipliers, dw.bulk_slopes, dw.classify,
+                   lambda z: dw.det_parameter_plus(z, 2.0),
+                   lambda z: dw.det_parameter_minus(z, 2.0),
+                   lambda z: dw.dependence_det_plus(z, 2.0),
+                   lambda z: dw.dependence_det_minus(z, 2.0)):
+            with pytest.raises(ValueError, match="lambda"):
+                fn(lam)
 
 
 lams = st.complex_numbers(
@@ -351,9 +360,9 @@ def test_profile_decay_multipliers_are_contracting():
             prof = dw.eigenvector_profile(omega, dw.eigenvalues(omega).by_index(j))
             assert abs(prof.z_decay_right) < 1.0
             assert abs(prof.z_decay_left) > 1.0
-            assert prof.gamma == pytest.approx(
-                prof.defect_site()[0], abs=1e-15
-            )
+            # the bound state's defect site is (gamma, kappa) up to its scale
+            l0, r0 = dw.eigenvector(omega, prof.lam, 8).site(0)
+            assert l0 / r0 == pytest.approx(prof.gamma / prof.kappa, abs=1e-15)
 
 
 def test_eigenvalue_matching_snaps_and_rejects():

@@ -52,13 +52,18 @@ def test_delta_state_chiralities():
 # --- coin and one step ---------------------------------------------------------
 
 def test_coin_values():
-    bulk = dw.coin(5, 2.0)
-    assert np.allclose(bulk, np.array([[1.0, -1.0], [1.0, 1.0]]) / SQRT2)
-    defect = dw.coin(0, 2.0)
-    assert np.allclose(defect, 2.0 * bulk)
-    assert np.allclose(dw.coin(-7, 2.0), bulk)  # omega only acts at the origin
+    # the coin at site x, read through one step: (L, R) = (a, b) at x goes to
+    # L = w (a - b)/sqrt2 at x - 1 and R = w (a + b)/sqrt2 at x + 1
+    a, b = 0.6 - 0.2j, 0.3 + 0.7j
+    bulk = np.array([[1.0, -1.0], [1.0, 1.0]]) / SQRT2
+    for x, w in ((5, 1.0), (0, 2.0), (-7, 1.0)):  # omega only acts at the origin
+        psi = dw.WaveFunction(10, np.zeros((21, 2), dtype=complex))
+        psi.amps[x + 10] = (a, b)
+        out = dw.apply_U(psi, 2.0)
+        got = np.array([out.site(x - 1)[0], out.site(x + 1)[1]])
+        assert np.allclose(got, w * bulk @ np.array([a, b]))
     with pytest.raises(ValueError):
-        dw.coin(0, 0.0)
+        dw.apply_U(dw.delta_state(4), 0.0)
 
 
 def test_single_step_from_origin_up():
@@ -288,13 +293,11 @@ def test_origin_probability_localizes_with_point_spectrum():
 
 
 def test_growth_rate_tracks_dominant_modulus():
-    got = dw.growth_rate(dw.delta_state(210, "up"), 2.0, 200)
+    got = dw.evolve(dw.delta_state(210, "up"), 2.0, 200).growth_running[-1]
     assert got == pytest.approx(abs(dw.eigenvalues(2.0).by_index(1)), abs=1e-3)
     # unitary: no growth
-    got1 = dw.growth_rate(dw.delta_state(110, "up"), -1.0, 100)
+    got1 = dw.evolve(dw.delta_state(110, "up"), -1.0, 100).growth_running[-1]
     assert got1 == pytest.approx(1.0, abs=1e-12)
-    with pytest.raises(ValueError):
-        dw.growth_rate(dw.delta_state(20, "up"), 2.0, 5)
 
 
 def test_truncation_flag():
