@@ -10,7 +10,8 @@ Output is deterministic, with no timestamps. Every table goes through one
 writer, ``write_table``, in one of two formats:
 
 - JSON: one object, ``{"command", "version", ...}``, keys sorted, indented by
-  two, floats as exact round-trip reprs, with the table as a list of records.
+  two, floats as exact round-trip reprs, a missing value as null, with the
+  table as a list of records. A non-finite float is refused, never written.
 - CSV: a ``# defectwalk <version> <command>`` line, metadata as
   ``# key = value`` lines, the column row, one line per row, and trailing
   ``#`` comments (``# key = value`` lines or a warning). Floats have 17
@@ -33,14 +34,13 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
-import math
 import os
 import sys
 from collections.abc import Sequence
 from itertools import chain, repeat
 
 from . import __version__
-from .config import check_tolerance, region_tolerance
+from .config import check_omega, check_tolerance, region_tolerance
 
 __all__ = ["main", "entrypoint", "write_table"]
 
@@ -80,16 +80,19 @@ def write_table(out: str | None, fmt: str, command: str, columns: dict, *,
     writes ``{"command", "version", **fields}``, plus the rows as records
     under ``key`` if one is given. ``fmt`` "csv" writes the header line, the
     ``head`` lines as comments, the column row, each row as soon as it is
-    formatted, and the ``tail`` lines as comments.
+    formatted, and the ``tail`` lines as comments. JSON has no non-finite
+    numbers: one raises ValueError before ``out`` is opened.
     """
     rows = zip(*columns.values())
+    if fmt == "json":
+        payload = {"command": command, "version": __version__, **(fields or {})}
+        if key is not None:
+            payload[key] = [dict(zip(columns, row)) for row in rows]
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
     with (contextlib.nullcontext(sys.stdout) if out is None
           else open(out, "w", encoding="utf-8")) as fh:
         if fmt == "json":
-            payload = {"command": command, "version": __version__, **(fields or {})}
-            if key is not None:
-                payload[key] = [dict(zip(columns, row)) for row in rows]
-            fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+            fh.write(text)
             return
         fh.write(f"# defectwalk {__version__} {command}\n")
         fh.writelines(f"# {line}\n" for line in head)
@@ -224,8 +227,11 @@ def _dump_states(path: str, traj: walk.Trajectory) -> None:
 # ---------------------------------------------------------------------------
 # validate
 
-def _check(name: str, passed: bool, error: float) -> dict:
-    return {"name": name, "passed": bool(passed), "error": float(error)}
+def _check(name: str, passed: bool, error: float | None) -> dict:
+    """One check's record; ``error`` is None where there is nothing to
+    measure, written as JSON null and an empty CSV cell."""
+    return {"name": name, "passed": bool(passed),
+            "error": None if error is None else float(error)}
 
 
 def _validate_omega(omega: float, suites: tuple[str, ...], match_tol: float,
@@ -247,9 +253,9 @@ def _validate_omega(omega: float, suites: tuple[str, ...], match_tol: float,
                 max(min(abs(c - f) for f in found) for c in closed),
                 max(min(abs(c - f) for c in closed) for f in found),
             )
+            checks.append(_check("roots/set_match", gap < match_tol, gap))
         else:
-            gap = math.inf
-        checks.append(_check("roots/set_match", gap < match_tol, gap))
+            checks.append(_check("roots/set_match", False, None))
         placed = all(
             r.region == (spectrum.Region.XI_PLUS if r.root.real > 0 else spectrum.Region.XI_MINUS)
             for r in scan.results
@@ -257,11 +263,15 @@ def _validate_omega(omega: float, suites: tuple[str, ...], match_tol: float,
         checks.append(_check("roots/regions_valid", placed, 0.0 if placed else 1.0))
     if "residual" in suites:
         for j, lam in enumerate(closed, start=1):
-            state = spectrum.eigenvector(omega, lam, RESIDUAL_WINDOW)
-            res = walk.eigen_residual(state, omega, lam, interior_only=True)
-            checks.append(
-                _check(f"residual/interior{RESIDUAL_WINDOW}_lambda{j}", res < RESIDUAL_BOUND, res)
-            )
+            name = f"residual/interior{RESIDUAL_WINDOW}_lambda{j}"
+            try:
+                state = spectrum.eigenvector(omega, lam, RESIDUAL_WINDOW)
+                res = walk.eigen_residual(state, omega, lam, interior_only=True)
+            except OverflowError as exc:
+                print(f"warning: {name} failed: {exc}", file=sys.stderr)
+                checks.append(_check(name, False, None))
+            else:
+                checks.append(_check(name, res < RESIDUAL_BOUND, res))
     if "decay" in suites:
         for j in (1, 2, 3, 4):
             fit = oracle.residual_decay(omega, j)
@@ -278,6 +288,8 @@ def cmd_validate(args) -> int:
     suites = VALIDATE_SUITES if args.suite == "all" else (args.suite,)
     grid = tuple(args.omega_grid) if args.omega_grid else DEFAULT_OMEGA_GRID
     match_tol = ROOT_MATCH_TOL if args.tol is None else check_tolerance(args.tol, "--tol")
+    for omega in grid:  # a bad omega exits before any is run
+        check_omega(omega, exclude_one=True)
     results = []
     for omega in grid:
         checks = _validate_omega(omega, suites, match_tol, args.seed_grid)

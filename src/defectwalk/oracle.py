@@ -62,19 +62,15 @@ def build_dense(omega: float, window: int) -> np.ndarray:
             f"window {n} needs {dim}; use walk.apply_U for larger windows"
         )
 
-    def col(x: int, c: int) -> int:
-        return 2 * (x + n) + c
-
+    x = np.arange(-n, n)  # each bond joins sites x and x + 1
+    row = 2 * (x + n)  # (x, L); (x, R), (x + 1, L), (x + 1, R) follow it
+    w_left = np.where(x + 1 == 0, omega, 1.0) / _SQRT2  # (x, L) from site x + 1
+    w_right = np.where(x == 0, omega, 1.0) / _SQRT2  # (x + 1, R) from site x
     mat = np.zeros((dim, dim), dtype=complex)
-    for x in range(-n, n + 1):
-        if x + 1 <= n:
-            w = omega if x + 1 == 0 else 1.0
-            mat[col(x, 0), col(x + 1, 0)] = w / _SQRT2
-            mat[col(x, 0), col(x + 1, 1)] = -w / _SQRT2
-        if x - 1 >= -n:
-            w = omega if x - 1 == 0 else 1.0
-            mat[col(x, 1), col(x - 1, 0)] = w / _SQRT2
-            mat[col(x, 1), col(x - 1, 1)] = w / _SQRT2
+    mat[row, row + 2] = w_left
+    mat[row, row + 3] = -w_left
+    mat[row + 3, row] = w_right
+    mat[row + 3, row + 1] = w_right
     return mat
 
 
@@ -104,8 +100,6 @@ DEDUP = 1e-6
 class RootFindResult:
     root: complex
     residual: float
-    iterations: int
-    seed: complex
     region: Region
 
 
@@ -167,8 +161,7 @@ def _newton_pass(fvec, seeds: np.ndarray, side: int):
         fz = fvec(z)
         converged = np.abs(fz) < NEWTON_TOL
         dead = ~np.isfinite(fz)
-        iters = np.zeros(z.shape, dtype=int)
-        for it in range(1, MAX_ITER + 1):
+        for _ in range(MAX_ITER):
             live = np.flatnonzero(~converged & ~dead)
             if live.size == 0:
                 break
@@ -188,10 +181,8 @@ def _newton_pass(fvec, seeds: np.ndarray, side: int):
             moving = live[~dying]
             z[moving] = z_try[~dying]
             fz[moving] = fvec(z[moving])
-            newly = moving[np.abs(fz[moving]) < NEWTON_TOL]
-            iters[newly] = it
-            converged[newly] = True
-    return z, fz, converged, dead, iters
+            converged[moving[np.abs(fz[moving]) < NEWTON_TOL]] = True
+    return z, fz, converged, dead
 
 
 def _branch_sqrt(z):
@@ -212,18 +203,16 @@ def _scan_half_plane(
         return spectrum._closed_det(p, _SQRT2, family)
 
     seeds = _half_plane_seeds(grid, side)
-    z, fz, conv, dead, iters = _newton_pass(fvec, seeds, side)
+    z, fz, conv, dead = _newton_pass(fvec, seeds, side)
     # one restart for seeds that died crossing the cut
     retry = dead & ~conv
     if retry.any():
         jitter = 0.5 * SEED_MARGIN * (1.0 + 0.7j)
         seeds2 = seeds[retry] + side * jitter
-        z2, fz2, conv2, _, iters2 = _newton_pass(fvec, seeds2, side)
+        z2, fz2, conv2, _ = _newton_pass(fvec, seeds2, side)
         z = np.concatenate([z, z2])
         fz = np.concatenate([fz, fz2])
         conv = np.concatenate([conv, conv2])
-        iters = np.concatenate([iters, iters2])
-        seeds = np.concatenate([seeds, seeds2])
 
     # Every eigenvalue obeys min(1, |omega|) <= |lambda| <= max(1, |omega|):
     # the shift is unitary and the coin is unitary but for the factor omega
@@ -233,32 +222,18 @@ def _scan_half_plane(
     r_hi = max(SEED_R_MAX, abs(omega))
     ok = conv & (np.abs(z) >= r_lo) & (np.abs(z) <= r_hi)
     ok &= np.sign(z.real) == side
-    # one representative per DEDUP cell, keyed by rounding half-even: the
-    # smallest residual, the first seed on a tie
-    idx = np.flatnonzero(ok)
-    roots, res = z[idx], np.abs(fz[idx])
-    key_re, key_im = np.rint(roots.real / DEDUP), np.rint(roots.imag / DEDUP)
-    order = np.lexsort((idx, res, key_im, key_re))
-    new_key = np.ones(order.size, dtype=bool)
-    new_key[1:] = (np.diff(key_re[order]) != 0) | (np.diff(key_im[order]) != 0)
-    results = [
-        RootFindResult(
-            complex(roots[j]), float(res[j]), int(iters[idx[j]]), complex(seeds[idx[j]]),
-            spectrum.classify(complex(roots[j])),
-        )
-        for j in order[new_key]
-    ]
-    # merge representatives that straddle a rounding boundary
-    merged: list[RootFindResult] = []
-    for cand in sorted(results, key=lambda r: (r.root.real, r.root.imag)):
-        for i, kept in enumerate(merged):
-            if abs(kept.root - cand.root) <= 2.0 * DEDUP:
-                if cand.residual < kept.residual:
-                    merged[i] = cand
-                break
-        else:
-            merged.append(cand)
-    return merged, len(seeds), int(np.count_nonzero(conv))
+    # One rule picks one result per root. In order of residual, the first
+    # seed on a tie, the first candidate stands for every candidate within
+    # 2 DEDUP of it; those are dropped, and the next one left does the same.
+    order = np.argsort(np.abs(fz[ok]), kind="stable")
+    cands, res = z[ok][order], np.abs(fz[ok])[order]
+    results: list[RootFindResult] = []
+    while cands.size:
+        root = complex(cands[0])
+        results.append(RootFindResult(root, float(res[0]), spectrum.classify(root)))
+        far = np.abs(cands - cands[0]) > 2.0 * DEDUP
+        cands, res = cands[far], res[far]
+    return results, len(z), int(np.count_nonzero(conv))
 
 
 def find_eigenvalues_numeric(omega: float, grid: int | None = None) -> RootScan:
@@ -388,63 +363,53 @@ def _mp_powers(z, n):
     return table
 
 
-class _DecayBuild:
-    """The mpmath bound state of eigenvalue ``index`` on sites
-    -largest..largest at the working precision, built once; the residual of
-    every window n <= largest is taken on its slice, since each site's
-    amplitude is independent of the window. So is each entry of
-    U psi - lambda psi whose source site lies inside the window: it is
-    computed once, at the build's precision, and kept for every window."""
+def _residuals(omega: float, index: int, windows):
+    """(residuals, predicted) of eigenvalue ``index`` at the working precision:
+    ||U_n psi - lambda psi|| / ||psi|| for each window n in ``windows``, and
+    the decaying multiplier modulus min(|z_r|, |z_l|) as a float.
 
-    def __init__(self, omega: float, index: int, largest: int):
-        self.om = mp.mpf(omega)
-        self.lam = spectrum._quadruple(mp.mpc(*spectrum._magnitudes(self.om, mp.sqrt)))[index - 1]
-        self.r2 = mp.sqrt(2)
-        _, _, k, gamma, z_r, z_l = spectrum._profile(self.om, self.lam, mp.sqrt, self.r2)
-        self.rows = spectrum._bound_rows(
-            gamma, k, _mp_powers(z_r, largest), _mp_powers(1 / z_l, largest), largest
-        )
-        self.mid = largest
-        self.predicted = float(min(abs(z_r), abs(z_l)))
-        self._left = [None] * len(self.rows)
-        self._right = [None] * len(self.rows)
+    The bound state is built once, on sites -N..N for N = max(windows), since
+    each site's amplitude is independent of the window. So is each interior
+    entry of U psi - lambda psi, whose source site lies inside the window: all
+    are computed once. A window's residual sums its slice, every site's two
+    entries in site order; its sources outside the window count as zero,
+    which leaves -lambda psi in the entries L at the right edge and R at the
+    left edge."""
+    om = mp.mpf(omega)
+    lam = spectrum._quadruple(mp.mpc(*spectrum._magnitudes(om, mp.sqrt)))[index - 1]
+    r2 = mp.sqrt(2)
+    largest = max(windows)
+    _, _, k, gamma, z_r, z_l = spectrum._profile(om, lam, mp.sqrt, r2)
+    rows = spectrum._bound_rows(
+        gamma, k, _mp_powers(z_r, largest), _mp_powers(1 / z_l, largest), largest
+    )
+    mid = largest
+    # left[i]: the L entry of row i, stepped from row i + 1; right[i]: the R
+    # entry of row i + 1, stepped from row i
+    left = [
+        (om if i + 1 == mid else 1) * (src_l - src_r) / r2 - lam * row[0]
+        for i, (row, (src_l, src_r)) in enumerate(zip(rows, rows[1:]))
+    ]
+    right = [
+        (om if i == mid else 1) * (src_l + src_r) / r2 - lam * row[1]
+        for i, ((src_l, src_r), row) in enumerate(zip(rows, rows[1:]))
+    ]
 
-    def _left_entry(self, i: int):
-        """(U psi - lambda psi)_L in row i, stepped from row i + 1."""
-        entry = self._left[i]
-        if entry is None:
-            src_l, src_r = self.rows[i + 1]
-            w = self.om if i + 1 == self.mid else 1
-            entry = self._left[i] = w * (src_l - src_r) / self.r2 - self.lam * self.rows[i][0]
-        return entry
-
-    def _right_entry(self, i: int):
-        """(U psi - lambda psi)_R in row i, stepped from row i - 1."""
-        entry = self._right[i]
-        if entry is None:
-            src_l, src_r = self.rows[i - 1]
-            w = self.om if i - 1 == self.mid else 1
-            entry = self._right[i] = w * (src_l + src_r) / self.r2 - self.lam * self.rows[i][1]
-        return entry
-
-    def residual(self, n: int):
-        """||U_n psi - lambda psi|| / ||psi|| on the window-n slice, every
-        site's two entries in site order; the sources outside the window
-        count as zero, which leaves -lambda psi in the entries L at the
-        right edge and R at the left edge."""
-        rows, lam = self.rows, self.lam
-        lo, hi = self.mid - n, self.mid + n
+    def residual(n: int):
+        lo, hi = mid - n, mid + n
 
         def terms():
             for i in range(lo, hi + 1):
-                yield self._left_entry(i) if i < hi else -lam * rows[i][0]
-                yield self._right_entry(i) if i > lo else -lam * rows[i][1]
+                yield left[i] if i < hi else -lam * rows[i][0]
+                yield right[i - 1] if i > lo else -lam * rows[i][1]
 
         # squared norms: fsum squares the real and imaginary parts exactly and
         # rounds once, with no square root per entry
         amps = (c for row in rows[lo : hi + 1] for c in row)
         res2 = mp.fsum(terms(), absolute=True, squared=True)
         return mp.sqrt(res2 / mp.fsum(amps, absolute=True, squared=True))
+
+    return [residual(n) for n in windows], float(min(abs(z_r), abs(z_l)))
 
 
 # the windows a decay fit runs on, the fewest digits it runs at, and the
@@ -474,27 +439,22 @@ def residual_decay(omega: float, index: int) -> DecayFit:
     near 10^-DECAY_DPS, the extrapolation falls short and the fit misses its
     bound rather than passing.
 
-    The bound state is built once per precision, at the largest window, with
-    its tail powers as running products. Each entry of U psi - lambda psi is
-    computed once per build, and each window's residual sums its own slice
-    of those entries. The probe's build serves every window when no more
-    digits are needed.
+    The bound state is built once per call of ``_residuals``, at the largest
+    window it is asked for, with its tail powers as running products; each
+    entry of U psi - lambda psi is computed once per build. The probe builds
+    to its two windows only, the fit to the largest.
     """
     omega = check_omega(omega, exclude_one=True)
     if index not in (1, 2, 3, 4):
         raise ValueError(f"eigenvalue index must be 1..4, got {index!r}")
     w1, w2, *_, largest = DECAY_WINDOWS
     with mp.workdps(DECAY_DPS):
-        build = _DecayBuild(omega, index, largest)
-        probe = {n: build.residual(n) for n in (w1, w2)}
-    log1, log2 = mp.log10(probe[w1]), mp.log10(probe[w2])
+        probe, _ = _residuals(omega, index, (w1, w2))
+    log1, log2 = (mp.log10(r) for r in probe)
     log_at_largest = log1 + (log2 - log1) * (largest - w1) / (w2 - w1)
     digits = max(DECAY_DPS, int(mp.ceil(_DECAY_HEADROOM_DIGITS - log_at_largest)))
     with mp.workdps(digits):
-        if digits > DECAY_DPS:
-            build, probe = _DecayBuild(omega, index, largest), {}
-        residuals = [probe[n] if n in probe else build.residual(n) for n in DECAY_WINDOWS]
-    predicted = build.predicted
+        residuals, predicted = _residuals(omega, index, DECAY_WINDOWS)
     residuals = [float(r) for r in residuals]
     xs = np.array(DECAY_WINDOWS, dtype=float)
     ys = np.log(np.array(residuals))

@@ -93,6 +93,8 @@ def test_domain_errors_exit_2(tmp_path):
         # not a failed validation
         *(("validate", "--suite", "roots", "--omega-grid", "2", "--tol", bad)
           for bad in ("nan", "0", "-1e-8", "inf")),
+        # the whole grid is checked before any omega is run
+        ("validate", "--suite", "residual", "--omega-grid", "2,1"),
     ):
         proc = run_cli(*args)
         assert proc.returncode == 2, args
@@ -434,6 +436,47 @@ def test_validate_catches_a_drifted_closed_form(capsys, monkeypatch):
     assert rc == 1
     payload = json.loads(capsys.readouterr().out)
     assert payload["all_passed"] is False
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-finite JSON number {name}")
+
+
+def test_validate_writes_null_where_no_root_is_found(capsys):
+    # at omega = 0.98 no seed converges: there is no gap to measure, and
+    # neither JSON nor CSV may carry an infinite one
+    args = ["validate", "--omega-grid", "0.98", "--suite", "roots", "--seed-grid", "16"]
+    assert cli.main(args) == 1
+    payload = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+    checks = {c["name"]: c for c in payload["results"][0]["checks"]}
+    assert checks["roots/set_match"] == {"name": "roots/set_match", "passed": False, "error": None}
+    assert cli.main([*args, "--format", "csv"]) == 1
+    assert "0.97999999999999998,roots/set_match,false,\n" in capsys.readouterr().out
+
+
+def test_write_table_refuses_non_finite_json(tmp_path, capsys):
+    out = tmp_path / "t.json"
+    for path in (None, str(out)):
+        with pytest.raises(ValueError):
+            cli.write_table(path, "json", "t", {"x": [1.0, math.inf]}, key="rows")
+    assert capsys.readouterr().out == ""
+    assert not out.exists()
+
+
+def test_validate_reports_every_omega_when_one_overflows(capsys):
+    # the bound states of omega = 1e14 leave double range on window 64: its
+    # four residual checks fail, and omega = 2 is still reported
+    assert cli.main(["validate", "--suite", "residual", "--omega-grid", "2,1e14"]) == 1
+    captured = capsys.readouterr()
+    results = {r["omega"]: r for r in json.loads(captured.out)["results"]}
+    assert results[2.0]["passed"]
+    assert [(c["name"], c["passed"], c["error"]) for c in results[1e14]["checks"]] == [
+        (f"residual/interior64_lambda{j}", False, None) for j in (1, 2, 3, 4)
+    ]
+    lines = captured.err.splitlines()
+    assert len(lines) == 4
+    for j, line in enumerate(lines, start=1):
+        assert "omega = 100000000000000.0" in line and f"lambda_{j} " in line, line
 
 
 # --- figure -------------------------------------------------------------------------

@@ -37,12 +37,14 @@ def test_dense_is_isometric_inside_at_unitary_points():
 
 def test_dense_matches_streaming_step():
     rng = np.random.default_rng(3)
-    for omega in (2.0, -0.5):
-        amps = rng.normal(size=(17, 2)) + 1j * rng.normal(size=(17, 2))
-        psi = dw.WaveFunction(8, amps)
-        via_matrix = dw.build_dense(omega, 8) @ psi.amps.reshape(-1)
-        via_stream = dw.apply_U(psi, omega).amps.reshape(-1)
-        assert np.max(np.abs(via_matrix - via_stream)) <= 1e-14
+    for omega in (2.0, -0.5, 1e-3):
+        for window in (1, 8):
+            sites = 2 * window + 1
+            amps = rng.normal(size=(sites, 2)) + 1j * rng.normal(size=(sites, 2))
+            psi = dw.WaveFunction(window, amps)
+            via_matrix = dw.build_dense(omega, window) @ psi.amps.reshape(-1)
+            via_stream = dw.apply_U(psi, omega).amps.reshape(-1)
+            assert np.max(np.abs(via_matrix - via_stream)) <= 1e-14, (omega, window)
 
 
 def test_vector_state_round_trip():
@@ -112,10 +114,11 @@ def test_scan_finds_the_quadruple_across_the_domain(omega):
         assert min(abs(root - lam) for root in scan.roots) <= 1e-8
 
 
-# The scan steps only the live iterates and picks one representative per
-# DEDUP cell with one sort. Below are the full-array Newton pass and the dict
-# dedup it replaced, kept as the reference: every iterate, root and seed
-# count must come out the same to the bit.
+# The scan steps only the live iterates and picks one representative per root
+# with one rule: the smallest residual stands for every candidate within
+# 2 DEDUP. Below are the full-array Newton pass and the dict dedup it
+# replaced, kept as the reference: every iterate, root and seed count must
+# come out the same to the bit.
 
 def _scan_fvec(omega, side):
     family = dw.Family.PLUS if side > 0 else dw.Family.MINUS
@@ -134,8 +137,7 @@ def _reference_newton_pass(fvec, seeds, side):
         fz = fvec(z)
         converged = np.abs(fz) < oracle.NEWTON_TOL
         dead = ~np.isfinite(fz)
-        iters = np.zeros(z.shape, dtype=int)
-        for it in range(1, oracle.MAX_ITER + 1):
+        for _ in range(oracle.MAX_ITER):
             active = ~converged & ~dead
             if not active.any():
                 break
@@ -156,34 +158,30 @@ def _reference_newton_pass(fvec, seeds, side):
             moving = active & ~dying
             z = np.where(moving, z_try, z)
             fz = np.where(moving, fvec(z), fz)
-            newly = moving & (np.abs(fz) < oracle.NEWTON_TOL)
-            iters = np.where(newly, it, iters)
-            converged |= newly
-    return z, fz, converged, dead, iters
+            converged |= moving & (np.abs(fz) < oracle.NEWTON_TOL)
+    return z, fz, converged, dead
 
 
 def _reference_scan_half_plane(omega, side):
     fvec = _scan_fvec(omega, side)
     seeds = oracle._half_plane_seeds(oracle.SEED_GRID, side)
-    z, fz, conv, dead, iters = _reference_newton_pass(fvec, seeds, side)
+    z, fz, conv, dead = _reference_newton_pass(fvec, seeds, side)
     retry = dead & ~conv
     if retry.any():
         seeds2 = seeds[retry] + side * 0.5 * oracle.SEED_MARGIN * (1.0 + 0.7j)
-        z2, fz2, conv2, _, iters2 = _reference_newton_pass(fvec, seeds2, side)
+        z2, fz2, conv2, _ = _reference_newton_pass(fvec, seeds2, side)
         z = np.concatenate([z, z2])
         fz = np.concatenate([fz, fz2])
         conv = np.concatenate([conv, conv2])
-        iters = np.concatenate([iters, iters2])
-        seeds = np.concatenate([seeds, seeds2])
     ok = conv & (np.abs(z) >= min(oracle.SEED_R_MIN, abs(omega)))
     ok &= (np.abs(z) <= max(oracle.SEED_R_MAX, abs(omega))) & (np.sign(z.real) == side)
     results = {}
-    for root, res, it, seed in zip(z[ok], np.abs(fz[ok]), iters[ok], seeds[ok]):
+    for root, res in zip(z[ok], np.abs(fz[ok])):
         key = (round(root.real / oracle.DEDUP), round(root.imag / oracle.DEDUP))
         prev = results.get(key)
         if prev is None or res < prev.residual:
             results[key] = oracle.RootFindResult(
-                complex(root), float(res), int(it), complex(seed), dw.classify(complex(root)),
+                complex(root), float(res), dw.classify(complex(root)),
             )
     merged = []
     for cand in sorted(results.values(), key=lambda r: (r.root.real, r.root.imag)):
@@ -194,12 +192,14 @@ def _reference_scan_half_plane(omega, side):
                 break
         else:
             merged.append(cand)
-    return merged, len(seeds), int(np.count_nonzero(conv))
+    return merged, len(z), int(np.count_nonzero(conv))
 
 
 # 2: every seed converges; -0.01: seeds die and are restarted; 0.9: seeds
-# that never converge; 0.999: no roots at all; 100: roots beyond the seeds
-SCAN_GUARD_OMEGAS = (2.0, -0.01, 0.9, 0.999, 100.0)
+# that never converge; 0.999: no roots at all; 100: roots beyond the seeds;
+# 0.975: the restarted seeds find the only roots; -0.016395: a restarted seed
+# moves a root's bits
+SCAN_GUARD_OMEGAS = (2.0, -0.01, 0.9, 0.999, 100.0, 0.975, -0.016395)
 
 
 @pytest.mark.parametrize("omega", SCAN_GUARD_OMEGAS)
@@ -209,7 +209,7 @@ def test_newton_pass_steps_each_seed_as_the_full_array_pass(omega):
         seeds = oracle._half_plane_seeds(oracle.SEED_GRID, side)
         want = _reference_newton_pass(fvec, seeds, side)
         got = oracle._newton_pass(fvec, seeds, side)
-        for name, a, b in zip(("z", "fz", "converged", "dead", "iters"), got, want):
+        for name, a, b in zip(("z", "fz", "converged", "dead"), got, want):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (omega, side, name)
         retry = want[3] & ~want[2]
         if retry.any():
@@ -378,11 +378,17 @@ def test_residual_decay_reproduces_the_recorded_fits(omega):
         assert fit.predicted_rate == predicted, (omega, j)
 
 
-def _reference_window_residual(build, n):
-    """A window's residual stepped in full on its slice of ``build``, every
+def _reference_window_residual(omega, index, n):
+    """A window's residual on a bound state built for that window alone, every
     entry of U psi - lambda psi computed afresh."""
-    rows, om, lam, r2, mid = build.rows, build.om, build.lam, build.r2, build.mid
-    lo, hi = mid - n, mid + n
+    om = mp.mpf(omega)
+    lam = spectrum._quadruple(mp.mpc(*spectrum._magnitudes(om, mp.sqrt)))[index - 1]
+    r2 = mp.sqrt(2)
+    _, _, k, gamma, z_r, z_l = spectrum._profile(om, lam, mp.sqrt, r2)
+    rows = spectrum._bound_rows(
+        gamma, k, oracle._mp_powers(z_r, n), oracle._mp_powers(1 / z_l, n), n
+    )
+    mid, lo, hi = n, 0, 2 * n
 
     def terms():
         for i in range(lo, hi + 1):
@@ -400,21 +406,22 @@ def _reference_window_residual(build, n):
             else:
                 yield -lam * amp_r
 
-    amps = (c for row in rows[lo : hi + 1] for c in row)
+    amps = (c for row in rows for c in row)
     res2 = mp.fsum(terms(), absolute=True, squared=True)
     return mp.sqrt(res2 / mp.fsum(amps, absolute=True, squared=True))
 
 
 def test_decay_build_residual_is_the_full_window_residual_to_the_bit():
-    # the entries are kept per build: a window may not reuse another's edge
-    # entry (-lambda psi) as an interior one, nor a build at one precision
-    # the entries of a build at another; residual_decay's windows in its
-    # order, then smaller windows after larger ones
+    # one build on the largest window serves every window: a window may not
+    # reuse another's edge entry (-lambda psi) as an interior one; the probe's
+    # windows, residual_decay's windows in its order, then smaller windows
+    # after larger ones
     for dps in (80, 160):
         with mp.workdps(dps):
-            build = oracle._DecayBuild(-0.5, 2, 128)
-            for n in (16, 32, 64, 128, 127, 48, 17):
-                assert build.residual(n) == _reference_window_residual(build, n), (dps, n)
+            for windows in ((16, 32), (16, 32, 64, 128, 127, 48, 17)):
+                got, _ = oracle._residuals(-0.5, 2, windows)
+                for n, res in zip(windows, got):
+                    assert res == _reference_window_residual(-0.5, 2, n), (dps, n)
 
 
 def test_residual_decay_validation():
