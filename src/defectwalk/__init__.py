@@ -7,8 +7,10 @@ forms (eigenvalues, bound states, transfer-matrix machinery, spectral-region
 classification) and verifies them independently (dense truncations, blind
 root scans, extended-precision identity checks, residual decay fits). Each
 public name serves a command, a validate suite or a raw-versus-closed
-cross-check; the oracles' precisions, thresholds and windows are constants of
-``oracle``, not options.
+cross-check. No threshold is settable: the region tolerance is a constant of
+``spectrum``, the oracles' precisions, thresholds, windows and seed grid are
+constants of ``oracle``, and the acceptance bounds of ``validate`` are
+constants of ``cli``.
 
 The names below and the submodules are imported on first use (PEP 562), so a
 command pays only for what it runs: numpy loads with ``walk`` or

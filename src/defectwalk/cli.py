@@ -20,10 +20,13 @@ writer, ``write_table``, in one of two formats:
 
 ``simulate --dump`` formats the per-step states one step at a time after the
 run completes, so writing it takes O(window) memory on top of the run, and a
-run that fails writes nothing. ``spectrum`` labels each eigenvalue with its
-region (``spectrum.classify``) under one region tolerance: ``--tol`` if
-given, else the DEFECTWALK_TOL environment variable if set, else 1e-9; the
-environment is not read when ``--tol`` is given.
+run that fails writes nothing. ``--dump`` and ``figure --out`` name files,
+so "-" and a dump path that is also ``--out`` are refused before the run.
+
+No threshold is settable: the region tolerance of ``spectrum.classify``
+(``spectrum.REGION_TOL``), the root set-match bound ROOT_MATCH_TOL, the other
+acceptance bounds below and the scan's seed grid are constants, and no
+environment variable is read.
 
 Each command imports the modules it runs, so that --version and usage
 errors load neither numpy nor mpmath, and only validate loads mpmath.
@@ -40,7 +43,7 @@ from collections.abc import Sequence
 from itertools import chain, repeat
 
 from . import __version__
-from .config import check_omega, check_tolerance, region_tolerance
+from .config import check_omega
 
 __all__ = ["main", "entrypoint", "write_table"]
 
@@ -107,7 +110,6 @@ def write_table(out: str | None, fmt: str, command: str, columns: dict, *,
 def cmd_spectrum(args) -> int:
     from . import spectrum
 
-    tol = region_tolerance(args.tol)
     quad = spectrum.eigenvalues(args.omega)
     write_table(
         args.out, args.format, "spectrum",
@@ -116,7 +118,7 @@ def cmd_spectrum(args) -> int:
             "re": [float(lam.real) for lam in quad],
             "im": [float(lam.imag) for lam in quad],
             "modulus": [float(abs(lam)) for lam in quad],
-            "region": [spectrum.classify(lam, tol).value for lam in quad],
+            "region": [spectrum.classify(lam).value for lam in quad],
         },
         key="eigenvalues", fields={"omega": float(args.omega)}, head=meta(omega=args.omega),
     )
@@ -160,6 +162,11 @@ def cmd_eigvec(args) -> int:
 # simulate
 
 def cmd_simulate(args) -> int:
+    if args.dump == "-":
+        raise ValueError("--dump '-': the dump is written to a file, not to stdout")
+    if args.dump is not None and args.out is not None and (
+            os.path.abspath(args.dump) == os.path.abspath(args.out)):
+        raise ValueError(f"--dump {args.dump!r} is also the --out path; give them two files")
     from . import walk
 
     chirality = INITIAL_CHOICES[args.initial]
@@ -234,8 +241,7 @@ def _check(name: str, passed: bool, error: float | None) -> dict:
             "error": None if error is None else float(error)}
 
 
-def _validate_omega(omega: float, suites: tuple[str, ...], match_tol: float,
-                    seed_grid: int | None) -> list[dict]:
+def _validate_omega(omega: float, suites: tuple[str, ...]) -> list[dict]:
     from . import oracle, spectrum, walk
 
     checks: list[dict] = []
@@ -245,7 +251,7 @@ def _validate_omega(omega: float, suites: tuple[str, ...], match_tol: float,
     quad = spectrum.eigenvalues(omega)
     closed = list(quad)
     if "roots" in suites:
-        scan = oracle.find_eigenvalues_numeric(omega, grid=seed_grid)
+        scan = oracle.find_eigenvalues_numeric(omega)
         found = scan.roots
         checks.append(_check("roots/found_four", len(found) == 4, abs(len(found) - 4)))
         if found:
@@ -253,7 +259,7 @@ def _validate_omega(omega: float, suites: tuple[str, ...], match_tol: float,
                 max(min(abs(c - f) for f in found) for c in closed),
                 max(min(abs(c - f) for c in closed) for f in found),
             )
-            checks.append(_check("roots/set_match", gap < match_tol, gap))
+            checks.append(_check("roots/set_match", gap < ROOT_MATCH_TOL, gap))
         else:
             checks.append(_check("roots/set_match", False, None))
         placed = all(
@@ -287,12 +293,11 @@ def _validate_omega(omega: float, suites: tuple[str, ...], match_tol: float,
 def cmd_validate(args) -> int:
     suites = VALIDATE_SUITES if args.suite == "all" else (args.suite,)
     grid = tuple(args.omega_grid) if args.omega_grid else DEFAULT_OMEGA_GRID
-    match_tol = ROOT_MATCH_TOL if args.tol is None else check_tolerance(args.tol, "--tol")
     for omega in grid:  # a bad omega exits before any is run
         check_omega(omega, exclude_one=True)
     results = []
     for omega in grid:
-        checks = _validate_omega(omega, suites, match_tol, args.seed_grid)
+        checks = _validate_omega(omega, suites)
         results.append(
             {
                 "omega": float(omega),
@@ -332,6 +337,9 @@ def cmd_figure(args) -> int:
         omega_min=args.omega_min, omega_max=args.omega_max, samples=args.samples
     )
     svg_path = args.out
+    if svg_path == "-":
+        raise ValueError("--out '-': figure writes an SVG file and its paired CSV, "
+                         "not stdout")
     csv_path = os.path.splitext(svg_path)[0] + ".csv"
     if csv_path == svg_path:
         raise ValueError(f"--out {svg_path!r} is also the path of the paired CSV; "
@@ -373,7 +381,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--omega", type=float, required=True)
     sp.add_argument("--format", choices=("json", "csv"), default="json")
     sp.add_argument("--out", type=_out_path, default=None)
-    sp.add_argument("--tol", type=float, default=None)
     sp.set_defaults(func=cmd_spectrum)
 
     ev = sub.add_parser("eigvec", help="bound-state amplitudes on a window")
@@ -397,10 +404,6 @@ def build_parser() -> argparse.ArgumentParser:
     va = sub.add_parser("validate", help="run oracle suites and report pass/fail")
     va.add_argument("--omega-grid", type=_omega_grid_type, default=None)
     va.add_argument("--suite", choices=VALIDATE_SUITES + ("all",), default="all")
-    va.add_argument("--tol", type=float, default=None,
-                    help="root set-match tolerance (default 1e-8)")
-    va.add_argument("--seed-grid", type=int, default=None,
-                    help="Newton seed grid resolution per axis")
     va.add_argument("--format", choices=("json", "csv"), default="json")
     va.add_argument("--out", type=_out_path, default=None)
     va.set_defaults(func=cmd_validate)

@@ -1,19 +1,12 @@
-"""Input validation and the region tolerance.
+"""Input validation: ``check_omega`` validates every omega the package takes.
 
-``check_omega`` and ``check_tolerance`` validate every omega and tolerance
-the package takes. ``REGION_TOL`` is the default tolerance of
-``spectrum.classify``, and ``region_tolerance`` picks the one a command uses.
-The other thresholds are constants of the modules that apply them.
+No threshold is settable: each is a constant of the module that applies it.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import sys
-
-ENV_TOL = "DEFECTWALK_TOL"
-REGION_TOL = 1e-9
 
 
 def check_omega(omega: float, *, exclude_one: bool = False) -> float:
@@ -37,27 +30,3 @@ def check_omega(omega: float, *, exclude_one: bool = False) -> float:
             "requires a nonzero real omega with omega != 1"
         )
     return omega
-
-
-def check_tolerance(value: float, name: str = "tolerance") -> float:
-    """A tolerance as a float, rejected unless finite and positive."""
-    value = float(value)
-    if not (math.isfinite(value) and value > 0):
-        raise ValueError(f"{name} must be a finite positive number, got {value!r}")
-    return value
-
-
-def region_tolerance(tol: float | None = None) -> float:
-    """The region tolerance: ``tol`` if given, else the ``DEFECTWALK_TOL``
-    environment variable if set, else REGION_TOL. The environment is not
-    read when ``tol`` is given."""
-    if tol is not None:
-        return check_tolerance(tol)
-    raw = os.environ.get(ENV_TOL)
-    if raw is None:
-        return REGION_TOL
-    try:
-        value = float(raw)
-    except ValueError as exc:
-        raise ValueError(f"{ENV_TOL} must be a float, got {raw!r}") from exc
-    return check_tolerance(value)

@@ -2,9 +2,10 @@
 
 Produces a deterministic row table (series, omega, index, re, im) and a
 static SVG 1.1 rendering of it. Loci are sampled over a user range of the
-defect strength, split at the punctures omega = 0 and omega = 1; the curves
-for positive omega are drawn dashed, for negative omega dotted, the arcs
-solid black, the unit circle gray, and the four unitary-case (omega = -1)
+defect strength, split at the punctures omega = 0 and omega = 1 (a range
+that leaves no sample outside their gaps is refused); the curves for
+positive omega are drawn dashed, for negative omega dotted, the arcs solid
+black, the unit circle gray, and the four unitary-case (omega = -1)
 eigenvalues as markers on the circle.
 """
 
@@ -78,14 +79,22 @@ def _branch_grid(lo: float, hi: float, samples: int, positive: bool) -> list[flo
 
 def figure_rows(cfg: FigureConfig | None = None) -> list[FigureRow]:
     cfg = cfg or FigureConfig()
+    grids = [_branch_grid(cfg.omega_min, cfg.omega_max, cfg.samples, positive)
+             for positive in (True, False)]
+    if not any(grids):
+        raise ValueError(
+            f"omega range [{cfg.omega_min!r}, {cfg.omega_max!r}] draws no locus: every "
+            f"sample falls in a puncture gap, within {_EDGE_GAP} of omega = 0 or "
+            f"{_ONE_GAP} of omega = 1"
+        )
     rows: list[FigureRow] = []
     for k in range(_CIRCLE_SAMPLES):
         t = 2.0 * math.pi * k / (_CIRCLE_SAMPLES - 1)
         rows.append(FigureRow("unit_circle", None, 0, math.cos(t), math.sin(t)))
     for z in essential_spectrum_arcs(_ARC_SAMPLES):
         rows.append(FigureRow("sigma_arc", None, 0, float(z.real), float(z.imag)))
-    for positive in (True, False):
-        for om in _branch_grid(cfg.omega_min, cfg.omega_max, cfg.samples, positive):
+    for grid in grids:
+        for om in grid:
             quad = eigenvalues(om)
             for j, lam in enumerate(quad, start=1):
                 rows.append(FigureRow("locus", om, j, lam.real, lam.imag))

@@ -136,9 +136,9 @@ def _distance_to_cut(lams: np.ndarray) -> np.ndarray:
     return np.where(in_arc, np.abs(r - 1.0), d_end)
 
 
-def _half_plane_seeds(grid: int, side: int) -> np.ndarray:
-    res = np.linspace(SEED_MARGIN, SEED_R_MAX, grid)
-    ims = np.linspace(-SEED_R_MAX, SEED_R_MAX, grid)
+def _half_plane_seeds(side: int) -> np.ndarray:
+    res = np.linspace(SEED_MARGIN, SEED_R_MAX, SEED_GRID)
+    ims = np.linspace(-SEED_R_MAX, SEED_R_MAX, SEED_GRID)
     lams = (side * res[:, None] + 1j * ims[None, :]).reshape(-1)
     r = np.abs(lams)
     keep = (r >= SEED_R_MIN) & (r <= SEED_R_MAX)
@@ -192,9 +192,7 @@ def _branch_sqrt(z):
     return np.sqrt(arr)
 
 
-def _scan_half_plane(
-    omega: float, side: int, grid: int
-) -> tuple[list[RootFindResult], int, int]:
+def _scan_half_plane(omega: float, side: int) -> tuple[list[RootFindResult], int, int]:
     family = Family.PLUS if side > 0 else Family.MINUS
 
     def fvec(z):
@@ -202,7 +200,7 @@ def _scan_half_plane(
         p = spectrum._det_parameter(z, omega, kappa, family)
         return spectrum._closed_det(p, _SQRT2, family)
 
-    seeds = _half_plane_seeds(grid, side)
+    seeds = _half_plane_seeds(side)
     z, fz, conv, dead = _newton_pass(fvec, seeds, side)
     # one restart for seeds that died crossing the cut
     retry = dead & ~conv
@@ -236,25 +234,20 @@ def _scan_half_plane(
     return results, len(z), int(np.count_nonzero(conv))
 
 
-def find_eigenvalues_numeric(omega: float, grid: int | None = None) -> RootScan:
+def find_eigenvalues_numeric(omega: float) -> RootScan:
     """Blind root scan of both dependence determinants.
 
     Never consults the closed-form eigenvalues: seeds cover the annulus on a
-    ``grid``-by-``grid`` rectangle per half-plane (default SEED_GRID), the
-    determinants are evaluated from the transfer machinery, and whatever
-    converges within the operator-norm bound on |lambda| is deduplicated and
-    reported. An empty result means no seed converged; roots are never
+    SEED_GRID-by-SEED_GRID rectangle per half-plane, the determinants are
+    evaluated from the transfer machinery, and whatever converges within the
+    operator-norm bound on |lambda| is deduplicated and reported. An empty result means no seed converged; roots are never
     fabricated.
     """
     omega = check_omega(omega)
-    grid = SEED_GRID if grid is None else int(grid)
-    if grid < 2:
-        raise ValueError(f"seed grid needs at least 2 points per axis, got {grid}")
-
     results: list[RootFindResult] = []
     attempted = converged = 0
     for side in (1, -1):
-        part, n_a, n_c = _scan_half_plane(omega, side, grid)
+        part, n_a, n_c = _scan_half_plane(omega, side)
         results.extend(part)
         attempted += n_a
         converged += n_c

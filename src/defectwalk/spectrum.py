@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import REGION_TOL, check_omega
+from .config import check_omega
 from .sqrtbranch import principal_sqrt
 from .walk import WaveFunction
 
@@ -54,6 +54,9 @@ _SQRT2 = math.sqrt(2.0)
 _PI = math.pi
 # how far a lambda given to eigenvector may lie from the closed-form eigenvalue
 EIG_MATCH = 1e-6
+# within this distance of a region boundary, classify gives lambda the
+# boundary's label
+REGION_TOL = 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -310,21 +313,22 @@ class Region(enum.Enum):
     XI_MINUS = "xi_minus"
 
 
-def classify(lam: complex, tol: float = REGION_TOL) -> Region:
+def classify(lam: complex) -> Region:
     """Assign lambda to its spectral region.
 
-    SIGMA0 when lambda lies within ``tol`` of the unit circle and its argument
-    within ``tol`` of a corner's. Otherwise |z_+| decides: SIGMA when
-    ||z_+| - 1| <= tol, else XI_PLUS above 1 and XI_MINUS below. Like
-    :func:`bulk_multipliers`, it needs lambda^2 and lambda^-2 in double range.
+    SIGMA0 when lambda lies within REGION_TOL of the unit circle and its
+    argument within REGION_TOL of a corner's. Otherwise |z_+| decides: SIGMA
+    when ||z_+| - 1| <= REGION_TOL, else XI_PLUS above 1 and XI_MINUS below.
+    Like :func:`bulk_multipliers`, it needs lambda^2 and lambda^-2 in double
+    range.
     """
     lam = _check_lambda(lam)
-    if abs(abs(lam) - 1.0) <= tol:
+    if abs(abs(lam) - 1.0) <= REGION_TOL:
         theta = math.atan2(lam.imag, lam.real) % (2.0 * _PI)
-        if min(abs(theta - k * _PI / 4.0) for k in (1, 3, 5, 7)) <= tol:
+        if min(abs(theta - k * _PI / 4.0) for k in (1, 3, 5, 7)) <= REGION_TOL:
             return Region.SIGMA0
     gap = abs(_scalar_bulk(lam)[0]) - 1.0
-    if abs(gap) <= tol:
+    if abs(gap) <= REGION_TOL:
         return Region.SIGMA
     return Region.XI_PLUS if gap > 0 else Region.XI_MINUS
 

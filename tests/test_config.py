@@ -25,7 +25,7 @@ _TAKES_OMEGA = {
     "evolve": lambda om: dw.evolve(_STATE, om, 0),
     "growth_rate": lambda om: dw.evolve(_STATE, om, 10).growth_running[-1],
     "build_dense": lambda om: dw.build_dense(om, 4),
-    "find_eigenvalues_numeric": lambda om: dw.find_eigenvalues_numeric(om, grid=4),
+    "find_eigenvalues_numeric": dw.find_eigenvalues_numeric,
 }
 _SPECTRAL = {
     "eigenvalues": dw.eigenvalues,

@@ -68,7 +68,7 @@ def test_dense_dimension_cap():
 # --- blind root scan ------------------------------------------------------------
 
 def test_newton_scan_recovers_the_quadruple():
-    scan = dw.find_eigenvalues_numeric(2.0, grid=24)
+    scan = dw.find_eigenvalues_numeric(2.0)
     assert len(scan.roots) == 4
     closed = list(dw.eigenvalues(2.0))
     for root in scan.roots:
@@ -80,7 +80,7 @@ def test_newton_scan_recovers_the_quadruple():
 
 
 def test_scan_results_carry_consistent_regions():
-    scan = dw.find_eigenvalues_numeric(-0.5, grid=20)
+    scan = dw.find_eigenvalues_numeric(-0.5)
     assert len(scan.roots) == 4
     for res in scan.results:
         assert res.residual <= 1e-9
@@ -91,11 +91,6 @@ def test_scan_results_carry_consistent_regions():
 def test_scan_rejects_zero_omega():
     with pytest.raises(ValueError):
         dw.find_eigenvalues_numeric(0.0)
-
-
-def test_grid_spec_validation():
-    with pytest.raises(ValueError):
-        dw.find_eigenvalues_numeric(2.0, grid=1)
 
 
 # Roots beyond the seed annulus 0.2 <= |z| <= 3 (tiny and huge |omega|) are
@@ -164,7 +159,7 @@ def _reference_newton_pass(fvec, seeds, side):
 
 def _reference_scan_half_plane(omega, side):
     fvec = _scan_fvec(omega, side)
-    seeds = oracle._half_plane_seeds(oracle.SEED_GRID, side)
+    seeds = oracle._half_plane_seeds(side)
     z, fz, conv, dead = _reference_newton_pass(fvec, seeds, side)
     retry = dead & ~conv
     if retry.any():
@@ -206,7 +201,7 @@ SCAN_GUARD_OMEGAS = (2.0, -0.01, 0.9, 0.999, 100.0, 0.975, -0.016395)
 def test_newton_pass_steps_each_seed_as_the_full_array_pass(omega):
     for side in (1, -1):
         fvec = _scan_fvec(omega, side)
-        seeds = oracle._half_plane_seeds(oracle.SEED_GRID, side)
+        seeds = oracle._half_plane_seeds(side)
         want = _reference_newton_pass(fvec, seeds, side)
         got = oracle._newton_pass(fvec, seeds, side)
         for name, a, b in zip(("z", "fz", "converged", "dead"), got, want):

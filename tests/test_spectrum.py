@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import defectwalk as dw
-from defectwalk import Family, Region, cli, config, spectrum
+from defectwalk import Family, Region, cli, spectrum
 
 from .conftest import OMEGA_GRID
 
@@ -270,7 +270,7 @@ def test_classification_matches_multiplier_dichotomy():
             with mp.workdps(40):
                 z = mp.mpc(lam.real, lam.imag)
                 gap = float(abs((z + 1 / z + mp.sqrt(z * z + z ** -2)) / mp.sqrt(2)) - 1)
-            if region is Region.SIGMA0 or abs(gap) <= config.REGION_TOL:
+            if region is Region.SIGMA0 or abs(gap) <= spectrum.REGION_TOL:
                 continue
             assert region is (Region.XI_PLUS if gap > 0 else Region.XI_MINUS), (omega, lam)
 
