@@ -280,13 +280,14 @@ def _validate_omega(omega: float, suites: tuple[str, ...]) -> list[dict]:
                 checks.append(_check(name, res < RESIDUAL_BOUND, res))
     if "decay" in suites:
         for j in (1, 2, 3, 4):
-            fit = oracle.residual_decay(omega, j)
-            checks.append(
-                _check(
-                    f"decay/rate_lambda{j}", fit.relative_gap <= DECAY_RATE_RTOL,
-                    fit.relative_gap,
-                )
-            )
+            name = f"decay/rate_lambda{j}"
+            try:
+                fit = oracle.residual_decay(omega, j)
+            except OverflowError as exc:
+                print(f"warning: {name} failed: {exc}", file=sys.stderr)
+                checks.append(_check(name, False, None))
+            else:
+                checks.append(_check(name, fit.relative_gap <= DECAY_RATE_RTOL, fit.relative_gap))
     return checks
 
 

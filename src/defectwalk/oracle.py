@@ -8,12 +8,15 @@ Four routes that do not assume the closed-form answers:
   complex-plane grid,
 * extended-precision (mpmath) re-derivation of the determinant-parameter
   root identities, the sign condition, and the modulus identity,
-* extended-precision residual decay fits for the truncated bound states.
+* extended-precision residual decay fits for the truncated bound states,
+  built in integer fixed point; mpmath sets up the closed-form values and
+  takes one square root per window.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import mpmath as mp
@@ -196,7 +199,7 @@ def _scan_half_plane(omega: float, side: int) -> tuple[list[RootFindResult], int
     family = Family.PLUS if side > 0 else Family.MINUS
 
     def fvec(z):
-        kappa = spectrum._bulk(z, _branch_sqrt, _SQRT2)[2]
+        kappa = spectrum._kappa(z, _branch_sqrt, _SQRT2)
         p = spectrum._det_parameter(z, omega, kappa, family)
         return spectrum._closed_det(p, _SQRT2, family)
 
@@ -299,7 +302,7 @@ def highprec_check(omega: float) -> list[PrecisionCheck]:
         for j, lam in enumerate(quad, start=1):
             inv = 1 / lam
             s = mp.sqrt(lam * lam + inv * inv)
-            kappa = spectrum._bulk(lam, mp.sqrt, r2)[2]
+            kappa = spectrum._kappa(lam, mp.sqrt, r2)
             sig = 1 if mp.im(lam) > 0 else -1
             family = Family.PLUS if mp.re(lam) > 0 else Family.MINUS
             param = spectrum._det_parameter(lam, om, kappa, family)
@@ -348,61 +351,95 @@ class DecayFit:
         return abs(self.fitted_rate - self.predicted_rate) / self.predicted_rate
 
 
-def _mp_powers(z, n):
-    """[z**0, z**1, ..., z**n] by running products."""
-    table = [mp.mpc(1)]
-    for _ in range(n):
-        table.append(table[-1] * z)
-    return table
-
-
 def _residuals(omega: float, index: int, windows):
-    """(residuals, predicted) of eigenvalue ``index`` at the working precision:
-    ||U_n psi - lambda psi|| / ||psi|| for each window n in ``windows``, and
-    the decaying multiplier modulus min(|z_r|, |z_l|) as a float.
+    """(residuals, predicted) of eigenvalue ``index`` at the working precision
+    of ``digits = mp.mp.dps``: ||U_n psi - lambda psi|| / ||psi|| for each window
+    n in ``windows``, as mpf, and the decaying multiplier modulus
+    min(|z_r|, |z_l|) as a float. Each residual is one mpmath square root, at
+    ``digits``, of the ratio of a window's two squared norms from
+    :func:`_window_sums`."""
+    sums, predicted = _window_sums(omega, index, windows)
+    return [mp.sqrt(mp.mpf(res2) / norm2) for res2, norm2 in sums], predicted
+
+
+def _window_sums(omega: float, index: int, windows):
+    """(sums, predicted): per window n in ``windows``, the squared norms
+    (||U_n psi - lambda psi||^2, ||psi||^2) as exact ints at scale 2^(2 bits),
+    and predicted as in :func:`_residuals`.
+
+    The bound state is computed in fixed point: each complex value is a pair
+    of ints scaled by 2^bits. lambda, gamma, kappa, -gamma / kappa, z_r,
+    1 / z_l, omega / sqrt2 and 1 / sqrt2 are rounded once from mpmath at
+    digits + 10; every product after that is an integer product shifted back
+    by ``bits``. Fixed point keeps absolute, not relative, precision. The
+    amplitudes need no guard for that: none exceeds max(|gamma|, |kappa|, 1)
+    and psi_L(-1) = 1, so ||psi|| >= 1 and an absolute error of 2^-bits is a
+    relative one of at most 2^-bits. Each entry of U psi - lambda psi carries
+    its multipliers lambda and omega / sqrt2 times that error, so bits =
+    ceil(3.33 digits) + 16 + log2 max(|lambda|, |omega| / sqrt2, 1).
 
     The bound state is built once, on sites -N..N for N = max(windows), since
     each site's amplitude is independent of the window. So is each interior
     entry of U psi - lambda psi, whose source site lies inside the window: all
-    are computed once. A window's residual sums its slice, every site's two
-    entries in site order; its sources outside the window count as zero,
-    which leaves -lambda psi in the entries L at the right edge and R at the
-    left edge."""
-    om = mp.mpf(omega)
-    lam = spectrum._quadruple(mp.mpc(*spectrum._magnitudes(om, mp.sqrt)))[index - 1]
-    r2 = mp.sqrt(2)
+    are computed once, and only their squared moduli are kept. A window sums
+    its slice of them; its sources outside the window count as zero, which
+    leaves -lambda psi in the entries L at the right edge and R at the left
+    edge. Sums of ints are exact, so a window's sums do not depend on the
+    window the state was built for."""
+    digits = mp.mp.dps
     largest = max(windows)
-    _, _, k, gamma, z_r, z_l = spectrum._profile(om, lam, mp.sqrt, r2)
-    rows = spectrum._bound_rows(
-        gamma, k, _mp_powers(z_r, largest), _mp_powers(1 / z_l, largest), largest
-    )
+    with mp.extradps(10):
+        om = mp.mpf(omega)
+        lam = spectrum._quadruple(mp.mpc(*spectrum._magnitudes(om, mp.sqrt)))[index - 1]
+        r2 = mp.sqrt(2)
+        _, _, k, gamma, z_r, z_l = spectrum._profile(om, lam, mp.sqrt, r2)
+        predicted = float(min(abs(z_r), abs(z_l)))
+        reach = max(abs(lam), abs(om) / r2, 1)
+        bits = math.ceil(3.33 * digits) + 16 + int(mp.ceil(mp.log(reach, 2)))
+
+        def fixed(z):
+            return int(mp.nint(mp.ldexp(mp.re(z), bits))), int(mp.nint(mp.ldexp(mp.im(z), bits)))
+
+        lam, k, gamma, back, z_r, z_l_inv = map(fixed, (lam, k, gamma, -gamma / k, z_r, 1 / z_l))
+        c_defect, c_bulk = fixed(om / r2)[0], fixed(1 / r2)[0]
+
+    def mul(a, b):
+        return (a[0] * b[0] - a[1] * b[1]) >> bits, (a[0] * b[1] + a[1] * b[0]) >> bits
+
+    def powers(z):
+        table = [(1 << bits, 0)]
+        for _ in range(largest):
+            table.append(mul(table[-1], z))
+        return table
+
+    rows = spectrum._bound_rows(gamma, k, back, powers(z_r), powers(z_l_inv), largest, mul)
     mid = largest
-    # left[i]: the L entry of row i, stepped from row i + 1; right[i]: the R
-    # entry of row i + 1, stepped from row i
-    left = [
-        (om if i + 1 == mid else 1) * (src_l - src_r) / r2 - lam * row[0]
-        for i, (row, (src_l, src_r)) in enumerate(zip(rows, rows[1:]))
-    ]
-    right = [
-        (om if i == mid else 1) * (src_l + src_r) / r2 - lam * row[1]
-        for i, ((src_l, src_r), row) in enumerate(zip(rows, rows[1:]))
-    ]
+    # what each site steps to its neighbours: c (psi_L - psi_R) to the L entry
+    # of site x - 1, c (psi_L + psi_R) to the R entry of site x + 1, with
+    # c = omega / sqrt2 at the defect and 1 / sqrt2 elsewhere
+    diff, plus = [], []
+    for j, (a, b) in enumerate(rows):
+        c = c_defect if j == mid else c_bulk
+        diff.append(((c * (a[0] - b[0])) >> bits, (c * (a[1] - b[1])) >> bits))
+        plus.append(((c * (a[0] + b[0])) >> bits, (c * (a[1] + b[1])) >> bits))
+    lam_l = [mul(lam, a) for a, _ in rows]
+    lam_r = [mul(lam, b) for _, b in rows]
 
-    def residual(n: int):
+    def sq(z):
+        return z[0] * z[0] + z[1] * z[1]
+
+    # left[i]: |L entry of row i|^2, stepped from row i + 1; right[i]: |R entry
+    # of row i + 1|^2, stepped from row i
+    left = [sq((d[0] - e[0], d[1] - e[1])) for d, e in zip(diff[1:], lam_l)]
+    right = [sq((d[0] - e[0], d[1] - e[1])) for d, e in zip(plus, lam_r[1:])]
+    amps = [sq(a) + sq(b) for a, b in rows]
+
+    sums = []
+    for n in windows:
         lo, hi = mid - n, mid + n
-
-        def terms():
-            for i in range(lo, hi + 1):
-                yield left[i] if i < hi else -lam * rows[i][0]
-                yield right[i - 1] if i > lo else -lam * rows[i][1]
-
-        # squared norms: fsum squares the real and imaginary parts exactly and
-        # rounds once, with no square root per entry
-        amps = (c for row in rows[lo : hi + 1] for c in row)
-        res2 = mp.fsum(terms(), absolute=True, squared=True)
-        return mp.sqrt(res2 / mp.fsum(amps, absolute=True, squared=True))
-
-    return [residual(n) for n in windows], float(min(abs(z_r), abs(z_l)))
+        res2 = sum(left[lo:hi]) + sq(lam_l[hi]) + sum(right[lo:hi]) + sq(lam_r[lo])
+        sums.append((res2, sum(amps[lo : hi + 1])))
+    return sums, predicted
 
 
 # the windows a decay fit runs on, the fewest digits it runs at, and the
@@ -432,10 +469,16 @@ def residual_decay(omega: float, index: int) -> DecayFit:
     near 10^-DECAY_DPS, the extrapolation falls short and the fit misses its
     bound rather than passing.
 
-    The bound state is built once per call of ``_residuals``, at the largest
+    The residuals come from an integer fixed-point build of the bound state
+    (:func:`_window_sums`), one per call of ``_residuals``, at the largest
     window it is asked for, with its tail powers as running products; each
     entry of U psi - lambda psi is computed once per build. The probe builds
-    to its two windows only, the fit to the largest.
+    to its two windows only, the fit to the largest. mpmath sets up the
+    closed-form values, takes each window's square root and the probe's log10.
+
+    A residual below the smallest normal double (sys.float_info.min) cannot
+    enter the fit: one OverflowError names omega, the index, the window and
+    the residual. From about |omega| <= 2e-5 or >= 5e4 on, window 128 does.
     """
     omega = check_omega(omega, exclude_one=True)
     if index not in (1, 2, 3, 4):
@@ -448,6 +491,12 @@ def residual_decay(omega: float, index: int) -> DecayFit:
     digits = max(DECAY_DPS, int(mp.ceil(_DECAY_HEADROOM_DIGITS - log_at_largest)))
     with mp.workdps(digits):
         residuals, predicted = _residuals(omega, index, DECAY_WINDOWS)
+    for n, r in zip(DECAY_WINDOWS, residuals):
+        if r < sys.float_info.min:
+            raise OverflowError(
+                f"omega = {omega!r}: the decay residual of lambda_{index} on window {n} is "
+                f"{mp.nstr(r, 3)}, below double range"
+            )
     residuals = [float(r) for r in residuals]
     xs = np.array(DECAY_WINDOWS, dtype=float)
     ys = np.log(np.array(residuals))

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -124,15 +125,23 @@ def _modulus_squared(omega, sqrt):
     return abs(omega) * sqrt((omega * omega - 2 * omega + 2) / (2 * omega * omega - 2 * omega + 1))
 
 
+def _kappa(lam, sqrt, r2):
+    """kappa, the second component of z_+'s eigenvector [1, kappa], alone:
+    the scan's determinants need no other bulk quantity."""
+    inv = 1 / lam
+    return (-lam + inv + sqrt(lam * lam + inv * inv)) / r2
+
+
 def _bulk(lam, sqrt, r2):
     """(z_+, z_-, kappa, kappa'): the bulk transfer multipliers and the second
-    components of their eigenvectors [1, kappa], [1, kappa']."""
+    components of their eigenvectors [1, kappa], [1, kappa']. kappa comes from
+    _kappa, handed the root already taken."""
     inv = 1 / lam
     s = sqrt(lam * lam + inv * inv)
     return (
         (lam + inv + s) / r2,
         (lam + inv - s) / r2,
-        (-lam + inv + s) / r2,
+        _kappa(lam, lambda _: s, r2),
         (-lam + inv - s) / r2,
     )
 
@@ -161,21 +170,22 @@ def _profile(omega, lam, sqrt, r2):
     return Family.MINUS, sign, kappa_p, -sign * 1j * kappa_p, z_plus, z_minus
 
 
-def _bound_rows(gamma, k, right, left, window):
+def _bound_rows(gamma, k, back, right, left, window, mul=operator.mul):
     """Unnormalized (L, R) amplitudes of the three-piece bound state on sites
-    -window..window; see :func:`eigenvector`. The tail powers come from the
-    tables ``right[m] = z_r**m`` and ``left[m] = z_l**-m``, m = 0..window,
-    filled by the caller at its own precision. Each site's value depends on
-    the site only, so a larger window's rows contain every smaller window's."""
-    back = -gamma / k  # pairs with the shifted right tail; equals -+ s i
+    -window..window; see :func:`eigenvector`. ``back`` = -gamma / k pairs
+    with the shifted right tail (it equals -+ s i). The tail powers come from
+    the tables ``right[m] = z_r**m`` and ``left[m] = z_l**-m``, m = 0..window,
+    filled by the caller at its own precision, and ``mul`` multiplies two
+    amplitudes at that precision. Each site's value depends on the site only,
+    so a larger window's rows contain every smaller window's."""
     rows = []
     for x in range(-window, window + 1):
         if x >= 1:
-            rows.append((gamma * right[x], back * right[x - 1]))
+            rows.append((mul(gamma, right[x]), mul(back, right[x - 1])))
         elif x == 0:
             rows.append((gamma, k))
         else:
-            rows.append((left[-x - 1], left[-x] * k))
+            rows.append((left[-x - 1], mul(left[-x], k)))
     return rows
 
 
@@ -480,7 +490,10 @@ def eigenvector(omega: float, lam: complex, window: int) -> WaveFunction:
         try:
             right = [prof.z_decay_right**m for m in range(window + 1)]
             left = [prof.z_decay_left**-m for m in range(window + 1)]
-            amps = np.array(_bound_rows(prof.gamma, prof.kappa, right, left, window), dtype=complex)
+            back = -prof.gamma / prof.kappa
+            amps = np.array(
+                _bound_rows(prof.gamma, prof.kappa, back, right, left, window), dtype=complex
+            )
             nrm = float(np.linalg.norm(amps))
         except (OverflowError, ZeroDivisionError):
             nrm = math.inf

@@ -503,6 +503,25 @@ def test_validate_reports_every_omega_when_one_overflows(capsys):
         assert "omega = 100000000000000.0" in line and f"lambda_{j} " in line, line
 
 
+
+def test_validate_names_a_decay_residual_below_double_range():
+    # at the ends the window-128 residual (~1e-330) is below the smallest
+    # double: each decay check fails by name with a null error, never a crash
+    # in the JSON writer or a fit through a floored residual
+    proc = run_cli("validate", "--suite", "decay", "--omega-grid=-1e-5,1e-5,-1e5,1e5",
+                   "--format", "json")
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    payload = json.loads(proc.stdout)
+    assert not payload["all_passed"]
+    for result in payload["results"]:
+        assert [(c["name"], c["passed"], c["error"]) for c in result["checks"]] == [
+            (f"decay/rate_lambda{j}", False, None) for j in (1, 2, 3, 4)
+        ]
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 16
+    assert all("on window 128" in line and "below double range" in line for line in lines)
+
 # --- figure -------------------------------------------------------------------------
 
 def _read_figure_rows(csv_path):

@@ -373,15 +373,24 @@ def test_residual_decay_reproduces_the_recorded_fits(omega):
         assert fit.predicted_rate == predicted, (omega, j)
 
 
+def _mp_powers(z, n):
+    """[z**0, z**1, ..., z**n] by running products."""
+    table = [mp.mpc(1)]
+    for _ in range(n):
+        table.append(table[-1] * z)
+    return table
+
+
 def _reference_window_residual(omega, index, n):
     """A window's residual on a bound state built for that window alone, every
-    entry of U psi - lambda psi computed afresh."""
+    entry of U psi - lambda psi computed afresh, in mpmath at the working
+    precision."""
     om = mp.mpf(omega)
     lam = spectrum._quadruple(mp.mpc(*spectrum._magnitudes(om, mp.sqrt)))[index - 1]
     r2 = mp.sqrt(2)
     _, _, k, gamma, z_r, z_l = spectrum._profile(om, lam, mp.sqrt, r2)
     rows = spectrum._bound_rows(
-        gamma, k, oracle._mp_powers(z_r, n), oracle._mp_powers(1 / z_l, n), n
+        gamma, k, -gamma / k, _mp_powers(z_r, n), _mp_powers(1 / z_l, n), n
     )
     mid, lo, hi = n, 0, 2 * n
 
@@ -403,20 +412,49 @@ def _reference_window_residual(omega, index, n):
 
     amps = (c for row in rows for c in row)
     res2 = mp.fsum(terms(), absolute=True, squared=True)
-    return mp.sqrt(res2 / mp.fsum(amps, absolute=True, squared=True))
+    return mp.sqrt(res2 / mp.fsum(amps, absolute=True, squared=True)), min(abs(z_r), abs(z_l))
+
+
+def _reference_decay(omega, index):
+    """residual_decay's probe, digits and fit on _reference_window_residual:
+    (residuals, fitted_rate, predicted_rate)."""
+    w1, w2, *_, largest = oracle.DECAY_WINDOWS
+    with mp.workdps(oracle.DECAY_DPS):
+        probe = [_reference_window_residual(omega, index, n)[0] for n in (w1, w2)]
+    log1, log2 = (mp.log10(r) for r in probe)
+    log_at_largest = log1 + (log2 - log1) * (largest - w1) / (w2 - w1)
+    digits = max(oracle.DECAY_DPS, int(mp.ceil(25 - log_at_largest)))
+    with mp.workdps(digits):
+        fits = [_reference_window_residual(omega, index, n) for n in oracle.DECAY_WINDOWS]
+    residuals = tuple(float(r) for r, _ in fits)
+    slope = np.polyfit(np.array(oracle.DECAY_WINDOWS, dtype=float), np.log(residuals), 1)[0]
+    return residuals, math.exp(slope), float(fits[-1][1])
+
+
+@pytest.mark.parametrize("omega", [
+    -1e4, -1e3, -12.0, -4.5, -1.7, -0.9, -0.3, -0.02, -1e-3,
+    1e-4, 1e-3, 0.02, 0.3, 0.98, 1.001, 1.7, 4.5, 50.0, 1e3, 1e4,
+])
+def test_fixed_point_decay_fit_is_the_mpmath_fit_to_the_bit(omega):
+    # the integer build against the mpmath build it replaced, kept above as
+    # the reference: every float it hands on must be the same double
+    for j in (1, 2, 3, 4):
+        fit = dw.residual_decay(omega, j)
+        assert (fit.residuals, fit.fitted_rate, fit.predicted_rate) == _reference_decay(omega, j), j
 
 
 def test_decay_build_residual_is_the_full_window_residual_to_the_bit():
     # one build on the largest window serves every window: a window may not
     # reuse another's edge entry (-lambda psi) as an interior one; the probe's
     # windows, residual_decay's windows in its order, then smaller windows
-    # after larger ones
+    # after larger ones. The squared norms are exact ints, so they must equal
+    # those of a build for that window alone exactly.
     for dps in (80, 160):
         with mp.workdps(dps):
             for windows in ((16, 32), (16, 32, 64, 128, 127, 48, 17)):
-                got, _ = oracle._residuals(-0.5, 2, windows)
-                for n, res in zip(windows, got):
-                    assert res == _reference_window_residual(-0.5, 2, n), (dps, n)
+                got, _ = oracle._window_sums(-0.5, 2, windows)
+                for n, sums in zip(windows, got):
+                    assert sums == oracle._window_sums(-0.5, 2, (n,))[0][0], (dps, n)
 
 
 def test_residual_decay_validation():
